@@ -1,20 +1,21 @@
-"""Experiment R6: sparse CSR kernels + plan-time automaton shrinking.
+"""Experiment R6: plan-time automaton shrinking on a large sparse machine.
 
 The workload is a Lahar-style occurrence query on a **trap-heavy**
-monitor automaton: 96 states, density 1/96 (far under the 25% planner
-threshold), of which only 8 form the live accepting core — the other 88
-are absorbing trap states a run can wander into but never leave. The
-old pipeline (dense dict DP on the unshrunken machine) faithfully drags
-the trapped probability mass through every layer, multiplying exact
-``Fraction`` terms that can never reach an accepting state; the new
-pipeline (plan-time trim + CSR kernel) proves those states dead once at
-plan time and never touches them again.
+monitor automaton: 96 states, density 1/96, of which only 8 form the
+live accepting core — the other 88 are absorbing trap states a run can
+wander into but never leave. Without the shrink pass the Theorem-4.6 DP
+faithfully drags the trapped probability mass through every layer,
+multiplying exact ``Fraction`` terms that can never reach an accepting
+state; with it (trim + the weight-pushing filter on moves) those states
+are proven dead once at plan time and never touched again.
 
-Both paths are exact: the benchmark asserts the sparse confidence is
-**bit-identical** (``==`` on ``Fraction``) to the dense one before
-timing anything. The speedup must be at least 5x (it is three orders of
-magnitude in practice). Run as a script to (re)record the
-``BENCH_sparse.json`` baseline at the repo root::
+Both routes run the same DP through :func:`plan_confidence`, on plans
+built with ``shrink=False`` and ``shrink=True``, so ``sparse_speedup``
+credits the shrink pass alone. Both are exact: the benchmark asserts
+the shrunk confidence is **bit-identical** (``==`` on ``Fraction``) to
+the unshrunk one before timing anything. The speedup must be at least
+5x. Run as a script to (re)record the ``BENCH_sparse.json`` baseline at
+the repo root::
 
     PYTHONPATH=src python benchmarks/bench_sparse.py
 """
@@ -97,55 +98,53 @@ def measure(length: int = LENGTH) -> dict:
     rng = random.Random("bench-sparse")
     sequence = positive_fraction_sequence(length, rng)
 
-    sparse_plan = QueryPlan.build(query, sparse_threshold=1.0)
-    dense_plan = QueryPlan.build(query, sparse_threshold=-1.0, shrink=False)
-    assert sparse_plan.representation == "sparse" and sparse_plan.sparse is not None
-    assert dense_plan.representation == "dense" and dense_plan.shrunk is None
-    report = sparse_plan.shrink_report
+    shrunk_plan = QueryPlan.build(query, shrink=True)
+    plain_plan = QueryPlan.build(query, shrink=False)
+    assert plain_plan.shrunk is None and plain_plan.push is None
+    report = shrunk_plan.shrink_report
     assert report is not None and report.pruned() >= NUM_STATES - LIVE_STATES
 
     answer = ()  # the sole output of a 0-uniform query
 
     # Exact-twin gate: bit-identical nonzero Fractions before any timing.
-    sparse_value = plan_confidence(sparse_plan, sequence, answer)
-    dense_value = plan_confidence(dense_plan, sequence, answer)
-    assert isinstance(sparse_value, Fraction) and isinstance(dense_value, Fraction)
-    assert sparse_value == dense_value
-    assert sparse_value > 0
+    shrunk_value = plan_confidence(shrunk_plan, sequence, answer)
+    plain_value = plan_confidence(plain_plan, sequence, answer)
+    assert isinstance(shrunk_value, Fraction) and isinstance(plain_value, Fraction)
+    assert shrunk_value == plain_value
+    assert shrunk_value > 0
 
-    sparse_s = timed_best(lambda: plan_confidence(sparse_plan, sequence, answer), repeats=3)
-    dense_s = timed_best(lambda: plan_confidence(dense_plan, sequence, answer), repeats=3)
+    shrunk_s = timed_best(lambda: plan_confidence(shrunk_plan, sequence, answer), repeats=3)
+    plain_s = timed_best(lambda: plan_confidence(plain_plan, sequence, answer), repeats=3)
 
     return {
         "num_states": NUM_STATES,
         "live_states": LIVE_STATES,
         "length": length,
-        "density": float(sparse_plan.density),
         "states_pruned": report.pruned(),
-        "dense_confidence_s": dense_s,
-        "sparse_confidence_s": sparse_s,
-        "sparse_speedup": dense_s / sparse_s,
+        "unshrunk_confidence_s": plain_s,
+        "shrunk_confidence_s": shrunk_s,
+        "sparse_speedup": plain_s / shrunk_s,
     }
 
 
 def report(results: dict) -> None:
     print_series(
-        f"Sparse kernel vs dense DP "
+        f"Shrink pass on vs off "
         f"(|Q|={results['num_states']}, n={results['length']}, "
-        f"density={results['density']:.4f})",
+        f"pruned={results['states_pruned']})",
         ["path", "seconds", "speedup"],
         [
-            ("dense dict DP, unshrunken", results["dense_confidence_s"], 1.0),
+            ("Theorem-4.6 DP, unshrunk", results["unshrunk_confidence_s"], 1.0),
             (
-                "CSR kernel, shrunken",
-                results["sparse_confidence_s"],
+                "Theorem-4.6 DP, shrunk + push filter",
+                results["shrunk_confidence_s"],
                 results["sparse_speedup"],
             ),
         ],
     )
 
 
-def bench_sparse_kernel(benchmark) -> None:
+def bench_sparse_shrink(benchmark) -> None:
     results = measure()
     report(results)
     assert results["sparse_speedup"] >= MIN_SPEEDUP, results
@@ -153,7 +152,7 @@ def bench_sparse_kernel(benchmark) -> None:
     query = trap_monitor_query()
     rng = random.Random("bench-sparse")
     sequence = positive_fraction_sequence(LENGTH, rng)
-    plan = QueryPlan.build(query, sparse_threshold=1.0)
+    plan = QueryPlan.build(query)
     benchmark(lambda: plan_confidence(plan, sequence, ()))
 
 

@@ -8,8 +8,9 @@ algorithm per positive result plus a brute-force oracle:
 ==========================  ======================================  ============
 transducer class            algorithm                               paper
 ==========================  ======================================  ============
-deterministic               layered sum-product DP                  Theorem 4.6
-deterministic + k-uniform   DP with implicit output position        Theorem 4.6
+deterministic               layered DP, any semiring (LOG for long  Theorem 4.6
+                            sequences), push filter on moves
+deterministic + k-uniform   same DP; one output position per layer  Theorem 4.6
 nondeterministic, uniform   subset-construction DP                  Theorem 4.8
 s-projector [B]A[E]         Pr(S in L(B . o . E)), lazy subsets     Theorem 5.5
 indexed s-projector         prefix/segment/suffix factorization     Theorem 5.8

@@ -7,14 +7,22 @@ runs in a layered dynamic program counts every world exactly once:
                                and the run has emitted exactly o[0:j] )
 
 and ``conf(o)`` is the mass at ``i = n`` with ``q`` accepting and
-``j = |o|``. Time ``O(|o| * n * |Sigma|^2 * |Q|)`` in the general case; the
-k-uniform fast path drops the explicit ``j`` coordinate because the output
-position is forced to ``k * i``, matching the sharper bound of the theorem.
+``j = |o|``. Time ``O(|o| * n * |Sigma|^2 * |Q|)`` in the general case.
+With k-uniform emission every live cell of layer ``i`` has ``j = k * i``,
+so each layer carries one output position — the sharper bound of the
+theorem — and an output of the wrong length is rejected before any layer
+runs.
+
+This is the only Theorem-4.6 DP in the library. It runs in any semiring
+(``VITERBI`` gives ``E_max``, ``LOG`` gives the natural log of the
+confidence for sequences whose world probabilities underflow doubles),
+and it optionally takes the weight-pushing table of
+:mod:`repro.runtime.shrink` as a filter on moves.
 """
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Sequence
+from collections.abc import Hashable, Mapping, Sequence
 
 from repro.errors import InvalidTransducerError
 from repro.markov.sequence import MarkovSequence, Number
@@ -29,6 +37,7 @@ def confidence_deterministic(
     transducer: Transducer,
     output: Sequence,
     semiring: Semiring = REAL,
+    push: Mapping | None = None,
 ) -> Number:
     """``Pr(S -> [A^omega] -> output)`` for a deterministic transducer.
 
@@ -39,7 +48,17 @@ def confidence_deterministic(
 
     With ``semiring=VITERBI`` the same DP computes ``E_max(output)``, the
     best-evidence score of Section 4.2 — for deterministic transducers the
-    max over worlds factorizes over the same layered graph.
+    max over worlds factorizes over the same layered graph. With
+    ``semiring=LOG`` it returns ``log conf(output)`` (``-inf`` when zero);
+    probabilities are lifted into the semiring once per call, exact
+    ``Fraction`` inputs included.
+
+    ``push`` is a weight-pushing table (:func:`repro.runtime.shrink.push_table`
+    of ``transducer``): a move into state ``q`` at output progress ``j``
+    is dropped when ``q`` has no entry (no accepting continuation) or
+    its guaranteed emission prefix disagrees with ``output[j:]``. Such
+    cells can only contribute ``semiring.zero``, so the result is
+    bit-identical with and without the filter.
     """
     if not transducer.is_deterministic():
         raise InvalidTransducerError(
@@ -47,91 +66,43 @@ def confidence_deterministic(
         )
     transducer.check_alphabet(sequence.alphabet)
     target = tuple(output)
-
     uniformity = transducer.uniformity()
-    if uniformity is not None:
-        return _confidence_uniform_deterministic(
-            sequence, transducer, target, uniformity, semiring
-        )
-    return _confidence_general_deterministic(sequence, transducer, target, semiring)
+    if uniformity is not None and len(target) != uniformity * sequence.length:
+        return semiring.zero
 
-
-def _match(target: tuple, j: int, emission: tuple) -> int | None:
-    """Advance output progress ``j`` by ``emission``; None if mismatched."""
-    end = j + len(emission)
-    if end > len(target):
-        return None
-    if tuple(target[j:end]) != emission:
-        return None
-    return end
-
-
-def _confidence_general_deterministic(
-    sequence: MarkovSequence,
-    transducer: Transducer,
-    target: tuple,
-    semiring: Semiring,
-) -> Number:
-    nfa = transducer.nfa
-    layer: dict[tuple[Symbol, object, int], Number] = {}
-    for symbol, prob in sequence.initial_support():
-        for state, emission in transducer.moves(nfa.initial, symbol):
-            j = _match(target, 0, emission)
-            if j is not None:
-                key = (symbol, state, j)
-                layer[key] = semiring.add(layer.get(key, semiring.zero), prob)
-
-    for i in range(1, sequence.length):
+    initial, transitions = semiring.lift_sequence(sequence)
+    add, mul, zero = semiring.add, semiring.mul, semiring.zero
+    moves = transducer.moves
+    # Layer 0 is a single virtual cell before the first node, whose one
+    # outgoing row is the initial distribution.
+    layer: dict[tuple[Symbol, object, int], Number] = {
+        (None, transducer.nfa.initial, 0): semiring.one
+    }
+    layers: list[Mapping[Symbol, Mapping[Symbol, Number]]] = [{None: initial}, *transitions]
+    for rows in layers:
         nxt: dict[tuple[Symbol, object, int], Number] = {}
         for (symbol, state, j), mass in layer.items():
-            for target_symbol, prob in sequence.successors(i, symbol):
-                for target_state, emission in transducer.moves(state, target_symbol):
-                    j2 = _match(target, j, emission)
-                    if j2 is None:
+            row = rows.get(symbol)
+            if row is None:
+                continue
+            for next_symbol, prob in row.items():
+                for next_state, emission in moves(state, next_symbol):
+                    end = j + len(emission)
+                    if emission and target[j:end] != emission:
                         continue
-                    key = (target_symbol, target_state, j2)
-                    weight = semiring.mul(mass, prob)
-                    nxt[key] = semiring.add(nxt.get(key, semiring.zero), weight)
+                    if push is not None:
+                        guaranteed = push.get(next_state)
+                        if guaranteed is None or (
+                            guaranteed and target[end : end + len(guaranteed)] != guaranteed
+                        ):
+                            continue
+                    key = (next_symbol, next_state, end)
+                    nxt[key] = add(nxt.get(key, zero), mul(mass, prob))
         layer = nxt
 
+    accepting = transducer.nfa.accepting
     return semiring.sum(
         mass
         for (_symbol, state, j), mass in layer.items()
-        if j == len(target) and state in nfa.accepting
-    )
-
-
-def _confidence_uniform_deterministic(
-    sequence: MarkovSequence,
-    transducer: Transducer,
-    target: tuple,
-    k: int,
-    semiring: Semiring,
-) -> Number:
-    """Fast path: with k-uniform emission the output position is ``k * i``."""
-    if len(target) != k * sequence.length:
-        return semiring.zero
-    nfa = transducer.nfa
-    layer: dict[tuple[Symbol, object], Number] = {}
-    for symbol, prob in sequence.initial_support():
-        for state, emission in transducer.moves(nfa.initial, symbol):
-            if emission == tuple(target[0:k]):
-                key = (symbol, state)
-                layer[key] = semiring.add(layer.get(key, semiring.zero), prob)
-
-    for i in range(1, sequence.length):
-        expected = tuple(target[k * i : k * (i + 1)])
-        nxt: dict[tuple[Symbol, object], Number] = {}
-        for (symbol, state), mass in layer.items():
-            for target_symbol, prob in sequence.successors(i, symbol):
-                for target_state, emission in transducer.moves(state, target_symbol):
-                    if emission != expected:
-                        continue
-                    key = (target_symbol, target_state)
-                    weight = semiring.mul(mass, prob)
-                    nxt[key] = semiring.add(nxt.get(key, semiring.zero), weight)
-        layer = nxt
-
-    return semiring.sum(
-        mass for (_symbol, state), mass in layer.items() if state in nfa.accepting
+        if j == len(target) and state in accepting
     )

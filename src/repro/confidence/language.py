@@ -47,7 +47,9 @@ def language_probability(
     accepted by the automaton. With :data:`~repro.semiring.VITERBI` it is
     the probability of the most likely accepted world; with
     :data:`~repro.semiring.BOOLEAN` it decides whether any accepted world
-    has positive probability.
+    has positive probability; with :data:`~repro.semiring.LOG` it is the
+    natural log of the acceptance probability, stable on sequences long
+    enough for world probabilities to underflow.
     """
     _check_alphabet(sequence, automaton)
     if isinstance(automaton, DFA):
@@ -61,16 +63,17 @@ def language_probability(
         step = lazy.step
         is_accepting = lazy.is_accepting
 
+    initial, transitions = semiring.lift_sequence(sequence)
     # DP key: (last Markov node, automaton state); value: accumulated mass.
     layer: dict[tuple[Symbol, object], Number] = {}
-    for symbol, prob in sequence.initial_support():
+    for symbol, prob in initial.items():
         key = (symbol, step(initial_state, symbol))
         layer[key] = semiring.add(layer.get(key, semiring.zero), prob)
 
-    for i in range(1, sequence.length):
+    for rows in transitions:
         nxt: dict[tuple[Symbol, object], Number] = {}
         for (symbol, state), mass in layer.items():
-            for target, prob in sequence.successors(i, symbol):
+            for target, prob in rows.get(symbol, {}).items():
                 key = (target, step(state, target))
                 weight = semiring.mul(mass, prob)
                 nxt[key] = semiring.add(nxt.get(key, semiring.zero), weight)

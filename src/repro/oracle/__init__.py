@@ -47,8 +47,8 @@ from repro.oracle.metamorphic import (
     TRANSFORMS,
     Transform,
     check_execution_equivalence,
-    check_representation_swap,
     check_semiring_swap,
+    check_shrink_swap,
     check_transform,
 )
 from repro.oracle.shrinker import (
@@ -82,8 +82,8 @@ __all__ = [
     "TRANSFORMS",
     "Transform",
     "check_execution_equivalence",
-    "check_representation_swap",
     "check_semiring_swap",
+    "check_shrink_swap",
     "check_transform",
     "instance_from_dict",
     "instance_to_dict",

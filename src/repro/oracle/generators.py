@@ -288,7 +288,7 @@ def generate_instance(label: str, seed: int, trial: int = 0) -> Instance:
 
 
 # ---------------------------------------------------------------------------
-# Large-sparse corpus factories (the sparse-kernel conformance seeds)
+# Large-sparse corpus factories (the shrink/push conformance seeds)
 # ---------------------------------------------------------------------------
 
 
@@ -302,8 +302,8 @@ def make_sparse_transducer(
     fixed odd offset — so the whole state space is reachable and the
     transition structure has no repeated rows. Every state accepts
     (non-selective), so trimming keeps all ``num_states`` states and the
-    sparse-vs-dense choice is exercised on the full machine. Emissions
-    are 1-uniform over ``("x", "y")``, seeded deterministically.
+    DP runs on the full machine. Emissions are 1-uniform over
+    ``("x", "y")``, seeded deterministically.
     """
     rng = random.Random(f"sparse-transducer/{seed}")
     alphabet = tuple(alphabet)
@@ -331,13 +331,13 @@ def make_failure_arc_transducer(num_states: int = 64, seed: int = 0) -> Transduc
     """A sparse deterministic transducer with heavily shared rows.
 
     States come in pairs with *identical* transition rows (same targets,
-    same emissions) — the failure-arc factoring of the CSR kernel should
-    collapse ``num_states`` logical rows to ``num_states / 2`` physical
-    ones. Pair ``2m/2m+1`` steps to ``2m+2`` on the first symbol (an
-    even-cycle) and to the odd state ``2m + num_states/2 + 1`` on the
-    second, so every state stays reachable; all states accept, so
-    trimming keeps the machine intact. ``num_states`` must be a positive
-    multiple of 4 (keeps the odd offset odd).
+    same emissions) — ``num_states`` rows with only ``num_states / 2``
+    distinct ones, the shape failure/default arcs factor out. Pair
+    ``2m/2m+1`` steps to ``2m+2`` on the first symbol (an even-cycle)
+    and to the odd state ``2m + num_states/2 + 1`` on the second, so
+    every state stays reachable; all states accept, so trimming keeps
+    the machine intact. ``num_states`` must be a positive multiple of 4
+    (keeps the odd offset odd).
     """
     if num_states % 4 != 0 or num_states <= 0:
         raise ReproError("make_failure_arc_transducer needs num_states % 4 == 0")
@@ -366,7 +366,7 @@ def make_failure_arc_transducer(num_states: int = 64, seed: int = 0) -> Transduc
 def make_large_sparse_instance(
     num_states: int = 64, length: int = 3, seed: int = 0
 ) -> Instance:
-    """A corpus-grade instance driving the sparse kernel (density ``1/|Q|``)."""
+    """A corpus-grade large, low-density instance (density ``1/|Q|``)."""
     rng = random.Random(f"sparse-instance/{seed}")
     alphabet = ("a", "b", "c")
     return Instance(

@@ -37,8 +37,8 @@ from repro.oracle.generators import CLASS_LABELS, Instance, generate_instance
 from repro.oracle.metamorphic import (
     TRANSFORMS,
     check_execution_equivalence,
-    check_representation_swap,
     check_semiring_swap,
+    check_shrink_swap,
     check_transform,
 )
 from repro.oracle.registry import ENGINES, Engine, VerifyContext, engine_matrix
@@ -129,7 +129,7 @@ def _check_metamorphic(
         diffs.extend(check_transform(instance, transform, rng))
     diffs.extend(check_semiring_swap(instance))
     diffs.extend(check_execution_equivalence(instance, context))
-    diffs.extend(check_representation_swap(instance))
+    diffs.extend(check_shrink_swap(instance))
     return diffs
 
 

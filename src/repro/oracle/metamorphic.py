@@ -22,8 +22,8 @@ Three further relations compare *evaluation paths* rather than rewritten
 instances: :func:`check_semiring_swap` (the real vs log semiring run of
 the deterministic-transducer DP), :func:`check_execution_equivalence`
 (serial vs pooled vs vectorized execution of the same plan), and
-:func:`check_representation_swap` (dense↔sparse plan representation ×
-shrink-on↔shrink-off, all four routes against the referee).
+:func:`check_shrink_swap` (the plan-time shrink pass on and off, both
+routes against the referee).
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from repro.automata.dfa import DFA
 from repro.automata.nfa import NFA
 from repro.confidence.brute_force import brute_force_answers
 from repro.confidence.deterministic import confidence_deterministic
-from repro.confidence.log_space import log_confidence_deterministic
 from repro.markov.korder import KOrderMarkovSequence, lift_transducer
 from repro.markov.sequence import MarkovSequence
 from repro.oracle.differential import Diff, pick_probes
@@ -48,6 +47,7 @@ from repro.parallel.vectorized import dense_batch_eligible
 from repro.runtime.cache import plan_for
 from repro.runtime.executor import plan_confidence
 from repro.runtime.plan import QueryPlan
+from repro.semiring import LOG
 from repro.transducers.sprojector import IndexedSProjector, SProjector
 from repro.transducers.transducer import Transducer
 
@@ -381,7 +381,9 @@ def check_semiring_swap(instance: Instance, probe_limit: int = 3) -> list[Diff]:
     diffs: list[Diff] = []
     for answer in pick_probes(instance, reference, probe_limit):
         real = confidence_deterministic(instance.sequence, query, answer)
-        via_log = math.exp(log_confidence_deterministic(instance.sequence, query, answer))
+        via_log = math.exp(
+            confidence_deterministic(instance.sequence, query, answer, semiring=LOG)
+        )
         if not math.isclose(float(real), via_log, rel_tol=1e-6, abs_tol=1e-9):
             diffs.append(
                 Diff(
@@ -448,42 +450,22 @@ def check_execution_equivalence(
     return diffs
 
 
-def check_representation_swap(instance: Instance, probe_limit: int = 3) -> list[Diff]:
-    """Dense↔sparse plan representation × shrink-on↔shrink-off.
+def check_shrink_swap(instance: Instance, probe_limit: int = 3) -> list[Diff]:
+    """Shrink-on↔shrink-off: the plan-time trim/push pass is invisible.
 
-    Builds four plans for the same query — the representation forced
-    dense (threshold ``-1.0``; density is never negative) or sparse
-    (threshold ``1.0``; density is never above one), each with and
-    without the plan-time shrink pass — and requires
-    :func:`plan_confidence` through every route to agree with the
-    brute-force referee (bit-for-bit over rational streams). Also
-    asserts the planner honored the forced threshold, so a broken
-    density heuristic cannot silently turn all four routes into the same
-    code path.
+    Builds the query's plan with and without the shrink pass and
+    requires :func:`plan_confidence` through both routes to agree with
+    the brute-force referee (bit-for-bit over rational streams). On
+    deterministic plans the shrink-on route also runs the DP with the
+    weight-pushing filter on moves.
     """
     query = instance.query
     reference = brute_force_answers(instance.sequence, query)
     plans = {
-        "dense+shrink": QueryPlan.build(query, sparse_threshold=-1.0, shrink=True),
-        "dense-noshrink": QueryPlan.build(query, sparse_threshold=-1.0, shrink=False),
-        "sparse+shrink": QueryPlan.build(query, sparse_threshold=1.0, shrink=True),
-        "sparse-noshrink": QueryPlan.build(query, sparse_threshold=1.0, shrink=False),
+        "on": QueryPlan.build(query, shrink=True),
+        "off": QueryPlan.build(query, shrink=False),
     }
     diffs: list[Diff] = []
-    for route, plan in plans.items():
-        expected = "dense" if route.startswith("dense") else "sparse"
-        if plan.representation != expected:
-            diffs.append(
-                Diff(
-                    instance=instance,
-                    engine=f"metamorphic:representation[{route}]",
-                    answer=None,
-                    got=plan.representation,
-                    want=expected,
-                )
-            )
-    if diffs:
-        return diffs
     for answer in pick_probes(instance, reference, probe_limit):
         want = reference.get(answer, 0)
         for route, plan in plans.items():
@@ -492,7 +474,7 @@ def check_representation_swap(instance: Instance, probe_limit: int = 3) -> list[
                 diffs.append(
                     Diff(
                         instance=instance,
-                        engine=f"metamorphic:representation[{route}]",
+                        engine=f"metamorphic:shrink[{route}]",
                         answer=answer,
                         got=got,
                         want=want,

@@ -7,21 +7,19 @@ emission), and knows how to compute ``conf(answer)`` on a prepared
 instance. The differential runner executes every applicable engine and
 diffs the results against the exact-``Fraction`` referee.
 
-The ten engine families of the harness matrix:
+The nine engine families of the harness matrix:
 
 ==================  =====================================================
 engine              implementation
 ==================  =====================================================
 brute-force         possible-world enumeration (the semantic definition)
 dense               numpy vector-matrix DP (:mod:`repro.confidence.dense`)
-log-space           log-sum-exp DP (:mod:`repro.confidence.log_space`)
+log-space           the Theorem-4.6 DP in the ``LOG`` semiring
 fraction            class-specialized DP over exact ``Fraction`` streams
 specialized         class-specialized DP as Table 2 dispatches it
 runtime             :func:`repro.runtime.executor.plan_confidence`
 pool                :meth:`repro.parallel.WorkerPool.batch_confidence`
 vectorized          batched ``(B,S)@(B,S,S)`` numpy DP
-dense_sparse        runtime dispatch on a sparse-forced, shrunk plan
-                    (CSR kernel for deterministic machines)
 approx              FPRAS (ε, δ) estimator (:mod:`repro.approx.fpras`)
 ==================  =====================================================
 
@@ -52,7 +50,6 @@ from repro.confidence.brute_force import brute_force_confidence
 from repro.confidence.dense import confidence_deterministic_dense
 from repro.confidence.deterministic import confidence_deterministic
 from repro.confidence.indexed import confidence_indexed
-from repro.confidence.log_space import log_confidence_deterministic
 from repro.confidence.sprojector import confidence_sprojector
 from repro.confidence.uniform_subset import confidence_uniform
 from repro.oracle.generators import CLASS_LABELS, Instance
@@ -61,6 +58,7 @@ from repro.parallel.vectorized import confidence_dense_batch
 from repro.runtime.cache import PlanCache, plan_for
 from repro.runtime.executor import plan_confidence
 from repro.runtime.plan import QueryPlan
+from repro.semiring import LOG
 from repro.transducers.transducer import Transducer
 
 #: Labels whose queries are plain transducers (vs s-projectors).
@@ -71,7 +69,7 @@ class Prepared:
     """An instance plus the derived objects engines share.
 
     Builds the runtime plan once and caches the float / exact-``Fraction``
-    twins of the sequence, so eight engines probing several answers do
+    twins of the sequence, so engines probing several answers do
     not re-derive them per call.
     """
 
@@ -123,11 +121,6 @@ class VerifyContext:
 
     workers: int = 1
     plan_cache: PlanCache = field(default_factory=PlanCache)
-    #: Separate cache for sparse-forced plans (threshold 1.0): their
-    #: fingerprints differ from the default-threshold plans, so sharing
-    #: ``plan_cache`` would work but would let the two populations evict
-    #: each other mid-run.
-    sparse_plan_cache: PlanCache = field(default_factory=PlanCache)
     epsilon: float = 0.25
     delta: float = 1e-9
     approx_max_samples: int = 25_000
@@ -240,9 +233,11 @@ def _dense(prepared: Prepared, answer, context: VerifyContext) -> float:
     )
 
 
-def _log_space(prepared: Prepared, answer, context: VerifyContext) -> float:
+def _log_semiring(prepared: Prepared, answer, context: VerifyContext) -> float:
     return math.exp(
-        log_confidence_deterministic(prepared.sequence, prepared.instance.query, answer)
+        confidence_deterministic(
+            prepared.sequence, prepared.instance.query, answer, semiring=LOG
+        )
     )
 
 
@@ -304,19 +299,6 @@ def _approx(prepared: Prepared, answer, context: VerifyContext) -> ApproxConfide
     )
 
 
-def _dense_sparse(prepared: Prepared, answer, context: VerifyContext) -> Number:
-    """Runtime dispatch on a sparse-forced plan (threshold 1.0).
-
-    Density is in ``[0, 1]``, so threshold 1.0 forces the sparse
-    representation (and the CSR kernel on deterministic machines) for
-    every instance, regardless of what the default threshold would have
-    chosen — the dense↔sparse half of the representation matrix. Exact:
-    the kernel must match the referee bit-for-bit on Fraction streams.
-    """
-    plan = context.sparse_plan_cache.get(prepared.instance.query, sparse_threshold=1.0)
-    return plan_confidence(plan, prepared.sequence, answer, allow_exponential=True)
-
-
 def _vectorized(prepared: Prepared, answer, context: VerifyContext) -> float:
     # A two-copy batch exercises the actual batching (stacked tensors,
     # shared step structure), not just the B=1 degenerate case.
@@ -340,7 +322,7 @@ ENGINES: tuple[Engine, ...] = (
     Engine(
         "log-space",
         _DENSE_CLASSES,
-        _log_space,
+        _log_semiring,
         applies=lambda prepared: isinstance(prepared.instance.query, Transducer)
         and prepared.instance.query.is_deterministic(),
         rel_tol=1e-6,
@@ -350,7 +332,6 @@ ENGINES: tuple[Engine, ...] = (
     Engine("runtime", _ALL, _runtime, exact=True),
     Engine("pool", _ALL, _pool, exact=True),
     Engine("vectorized", _DENSE_CLASSES, _vectorized, applies=_is_dense_eligible),
-    Engine("dense_sparse", _ALL, _dense_sparse, exact=True),
     # Applicable exactly where brute force is the only exact option:
     # general-class transducers (Table 2's FP^#P-complete cell).
     Engine(

@@ -61,11 +61,6 @@ class ChunkTask:
         Mode-specific keyword options (``k``, ``order``,
         ``allow_exponential``, ``with_confidence``, ``limit``,
         ``min_confidence``, ``output``).
-    sparse_threshold:
-        The parent plan's resolved density threshold, shipped alongside
-        the fingerprint so the worker-local cache rebuilds the plan
-        under the *same* sparse/dense representation decision (the
-        fingerprint already encodes it; this carries the value itself).
     """
 
     mode: str
@@ -73,7 +68,6 @@ class ChunkTask:
     fingerprint: str
     items: tuple
     options: tuple
-    sparse_threshold: float | None = None
 
     def option_dict(self) -> dict:
         return dict(self.options)
@@ -104,7 +98,6 @@ def make_task(mode: str, plan, items, **options) -> ChunkTask:
         fingerprint=plan.fingerprint,
         items=tuple(items),
         options=tuple(sorted(options.items())),
-        sparse_threshold=plan.sparse_threshold,
     )
 
 
@@ -113,11 +106,7 @@ def execute_chunk(task: ChunkTask) -> ChunkResult:
     start = time.perf_counter()
     hits_before = _WORKER_CACHE.hits
     misses_before = _WORKER_CACHE.misses
-    plan = _WORKER_CACHE.get(
-        task.query,
-        fingerprint_hint=task.fingerprint,
-        sparse_threshold=task.sparse_threshold,
-    )
+    plan = _WORKER_CACHE.get(task.query, fingerprint_hint=task.fingerprint)
     options = task.option_dict()
     if task.mode == MODE_TOP_K:
         payload = tuple(

@@ -50,23 +50,15 @@ class PlanCache:
         self,
         query,
         fingerprint_hint: str | None = None,
-        sparse_threshold: float | None = None,
     ) -> QueryPlan:
         """The cached plan for ``query``'s shape, building it on a miss.
 
         ``fingerprint_hint`` optionally supplies a fingerprint computed
         elsewhere (e.g. shipped to a worker process alongside the query),
         skipping the canonicalization hashing; it must be the value
-        :func:`repro.runtime.plan.fingerprint` would return for the same
-        ``sparse_threshold``. The threshold is part of the cache key, so
-        a plan built under one density threshold is never served to a
-        query planned under another.
+        :func:`repro.runtime.plan.fingerprint` would return.
         """
-        key = (
-            fingerprint_hint
-            if fingerprint_hint is not None
-            else fingerprint(query, sparse_threshold)
-        )
+        key = fingerprint_hint if fingerprint_hint is not None else fingerprint(query)
         with self._lock:
             plan = self._plans.get(key)
             if plan is not None:
@@ -76,9 +68,7 @@ class PlanCache:
                 return plan
             self.misses += 1
             telemetry.count("runtime.plan_cache.misses")
-            plan = QueryPlan.build(
-                query, fingerprint_hint=key, sparse_threshold=sparse_threshold
-            )
+            plan = QueryPlan.build(query, fingerprint_hint=key)
             self._plans[key] = plan
             if len(self._plans) > self.capacity:
                 self._plans.popitem(last=False)

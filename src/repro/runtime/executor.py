@@ -22,7 +22,6 @@ from repro.confidence.batch import confidence_deterministic_batch
 from repro.confidence.brute_force import brute_force_answers, brute_force_confidence
 from repro.confidence.deterministic import confidence_deterministic
 from repro.confidence.indexed import confidence_indexed
-from repro.confidence.sparse import confidence_sparse
 from repro.confidence.sprojector import confidence_sprojector
 from repro.confidence.uniform_subset import confidence_uniform
 from repro.enumeration.emax import enumerate_emax
@@ -52,9 +51,7 @@ def plan_confidence(
             sequence, plan.minimized, output, minimize_suffix=False
         )
     if plan.kind is PlanKind.DETERMINISTIC:
-        if plan.sparse is not None:
-            return confidence_sparse(sequence, plan.sparse, output)
-        return confidence_deterministic(sequence, plan.execution, output)
+        return confidence_deterministic(sequence, plan.execution, output, push=plan.push)
     if plan.kind is PlanKind.UNIFORM:
         return confidence_uniform(sequence, plan.execution, output)
     if allow_exponential:

@@ -31,6 +31,11 @@ whose (summary contains an) accepting state with output ``o`` — *exactly*
 equal (over ``Fraction`` inputs, bit-for-bit) to a from-scratch
 ``evaluate`` of the grown stream.
 
+Either frontier is pushed through the plan's shrunk machine
+(``plan.execution``), so dead runs drop out instead of being carried;
+which representation is used is decided by the compiled machine
+(``plan.deterministic``), so persisted frontiers restore identically.
+
 :meth:`checkpoint` / :meth:`rollback` snapshot and restore the frontier,
 which is how sliding windows re-anchor without replaying the stream.
 """
@@ -76,30 +81,11 @@ class StreamingEvaluator:
         self.plan = plan_for(query, cache)
         self.plan.compiled.check_alphabet(sequence.alphabet)
         self._deterministic = self.plan.deterministic
-        self._bind_execution()
         self._sequence = sequence
         self._frontier: dict = self._initial_frontier(sequence)
         for i in range(1, sequence.length):
             self._advance(i)
         self._checkpoints: list[tuple[MarkovSequence, dict]] = []
-
-    def _bind_execution(self) -> None:
-        """Resolve the move source once: CSR kernel > shrunk > compiled.
-
-        The frontier *representation* (deterministic vs world-summary,
-        decided by ``plan.deterministic``) is always derived from the
-        compiled machine, so persisted frontiers restore identically; the
-        shrunk/sparse machines only change how fast a layer is pushed —
-        dead runs drop out of the frontier instead of being carried.
-        """
-        plan = self.plan
-        if plan.sparse is not None and self._deterministic:
-            self._moves = plan.sparse.moves
-            self._accepting = plan.sparse.accepting
-        else:
-            execution = plan.execution
-            self._moves = execution.moves
-            self._accepting = execution.nfa.accepting
 
     @classmethod
     def restore(
@@ -123,7 +109,6 @@ class StreamingEvaluator:
         self.plan = plan_for(query, cache)
         self.plan.compiled.check_alphabet(sequence.alphabet)
         self._deterministic = self.plan.deterministic
-        self._bind_execution()
         self._sequence = sequence
         self._frontier = dict(frontier)
         self._checkpoints = []
@@ -135,7 +120,7 @@ class StreamingEvaluator:
 
     def _initial_frontier(self, sequence: MarkovSequence) -> dict:
         initial = self.plan.compiled.nfa.initial
-        moves = self._moves
+        moves = self.plan.execution.moves
         frontier: dict = {}
         if self._deterministic:
             for symbol, prob in sequence.initial_support():
@@ -156,7 +141,7 @@ class StreamingEvaluator:
         # recorder() call and a None check is the whole disabled cost.
         recorder = telemetry.recorder()
         start = time.perf_counter() if recorder is not None else 0.0
-        moves = self._moves
+        moves = self.plan.execution.moves
         sequence = self._sequence
         nxt: dict = {}
         cells = 0
@@ -234,7 +219,7 @@ class StreamingEvaluator:
         return conf
 
     def _raw_confidences(self) -> dict:
-        accepting = self._accepting
+        accepting = self.plan.execution.nfa.accepting
         conf: dict = {}
         if self._deterministic:
             for (_symbol, state, output), mass in self._frontier.items():

@@ -27,28 +27,18 @@ from __future__ import annotations
 import enum
 import hashlib
 from dataclasses import dataclass, field
-from fractions import Fraction
 from collections.abc import Hashable
 
 from repro import telemetry
 from repro.automata.dfa import DFA
 from repro.automata.minimize import minimize
-from repro.confidence.sparse import SparseKernel
 from repro.core.results import Order
-from repro.runtime.shrink import ShrinkReport, measure_density, shrink_transducer
+from repro.runtime.shrink import ShrinkReport, shrink_transducer
 from repro.runtime.stats import PlanStats
 from repro.transducers.sprojector import IndexedSProjector, SProjector
 from repro.transducers.transducer import Transducer
 
 Symbol = Hashable
-
-#: Compiled transducers whose transition density ``nnz / (|Sigma| * |Q|^2)``
-#: is at or below this fraction get the CSR sparse kernel; denser machines
-#: keep the dict representation (a total DFA lifts to density ``1/|Q|``, so
-#: any machine with more than four states lands on the sparse side). The
-#: resolved threshold is part of the plan fingerprint, so a PlanCache never
-#: serves a plan built under a different threshold.
-SPARSE_DENSITY_THRESHOLD: float = 0.25
 
 
 class PlanKind(enum.Enum):
@@ -142,7 +132,7 @@ def _canonical_transducer(transducer: Transducer, alphabet_order: list) -> tuple
     return (len(number), tuple(sorted(transitions)), accepting)
 
 
-def fingerprint(query, sparse_threshold: float | None = None) -> str:
+def fingerprint(query) -> str:
     """A structural fingerprint of a query (hex digest).
 
     Equal for separately constructed queries with the same structure —
@@ -150,11 +140,6 @@ def fingerprint(query, sparse_threshold: float | None = None) -> str:
     queries whose canonical (minimized) automata coincide. Distinct
     structures always get distinct serializations, so a collision
     requires breaking SHA-256.
-
-    The resolved sparse density threshold (default
-    :data:`SPARSE_DENSITY_THRESHOLD`) is mixed into the payload: plans
-    built under different thresholds may pick different DP
-    representations, so they must never share a cache slot.
     """
     if isinstance(query, SProjector):
         alphabet_order = _sorted_by_repr(query.alphabet)
@@ -174,10 +159,6 @@ def fingerprint(query, sparse_threshold: float | None = None) -> str:
         )
     else:
         raise TypeError(f"unsupported query type {type(query).__name__}")
-    resolved: float = (
-        SPARSE_DENSITY_THRESHOLD if sparse_threshold is None else sparse_threshold
-    )
-    payload = payload + (("sparse-threshold", repr(resolved)),)
     return hashlib.sha256(repr(payload).encode()).hexdigest()
 
 
@@ -207,17 +188,11 @@ class QueryPlan:
         Human-readable record of the Table-2 confidence dispatch.
     stats:
         Mutable execution counters.
-    sparse_threshold / density / representation:
-        The resolved density threshold the plan was built under, the
-        measured transition density of ``compiled`` (exact Fraction),
-        and the chosen representation (``"sparse"`` or ``"dense"``).
     shrunk / push / shrink_report:
         The trimmed compiled transducer all engines execute on, the
-        weight-pushing table, and the shrink pass record (``None`` each
-        when the plan was built with ``shrink=False``).
-    sparse:
-        The CSR kernel for deterministic machines under the sparse
-        representation; ``None`` otherwise.
+        weight-pushing table (the deterministic DP's move filter), and
+        the shrink pass record (``None`` each when the plan was built
+        with ``shrink=False``).
     """
 
     query: object
@@ -230,13 +205,9 @@ class QueryPlan:
     default_order: Order
     confidence_algorithm: str
     stats: PlanStats = field(default_factory=PlanStats)
-    sparse_threshold: float = SPARSE_DENSITY_THRESHOLD
-    density: Fraction = Fraction(0)
-    representation: str = "dense"
     shrunk: Transducer | None = None
     push: dict | None = None
     shrink_report: ShrinkReport | None = None
-    sparse: SparseKernel | None = None
 
     @property
     def execution(self) -> Transducer:
@@ -247,27 +218,16 @@ class QueryPlan:
     def build(
         query,
         fingerprint_hint: str | None = None,
-        sparse_threshold: float | None = None,
         shrink: bool = True,
     ) -> "QueryPlan":
         """Classify, minimize, compile, and shrink ``query`` into a plan.
 
         ``fingerprint_hint`` optionally supplies the structural
         fingerprint when the caller already computed (or was shipped)
-        it; it must equal ``fingerprint(query, sparse_threshold)``.
-        ``sparse_threshold`` overrides the density threshold
-        (:data:`SPARSE_DENSITY_THRESHOLD` when None) deciding between
-        the CSR and dict DP representations; ``shrink=False`` skips the
-        plan-time trim/push pass (the metamorphic ablation).
+        it; it must equal ``fingerprint(query)``. ``shrink=False`` skips
+        the plan-time trim/push pass (the metamorphic ablation).
         """
-        resolved: float = (
-            SPARSE_DENSITY_THRESHOLD if sparse_threshold is None else sparse_threshold
-        )
-        digest = (
-            fingerprint_hint
-            if fingerprint_hint is not None
-            else fingerprint(query, resolved)
-        )
+        digest = fingerprint_hint if fingerprint_hint is not None else fingerprint(query)
         if isinstance(query, SProjector):
             kind = (
                 PlanKind.INDEXED_SPROJECTOR
@@ -293,25 +253,8 @@ class QueryPlan:
         shrunk = push = report = None
         if shrink:
             shrunk, push, report = shrink_transducer(compiled)
-        # Density is measured on the compiled machine (pre-trim) so the
-        # representation choice is identical with and without shrinking.
-        density = measure_density(compiled)
-        representation = "sparse" if density <= resolved else "dense"
-        kernel = None
-        if representation == "sparse" and compiled.is_deterministic():
-            kernel = SparseKernel(shrunk if shrunk is not None else compiled, push=push)
-
-        recorder = telemetry.recorder()
-        if recorder is not None:
-            if representation == "sparse":
-                recorder.count("sparse.plans.sparse")
-            else:
-                recorder.count("sparse.plans.dense")
-            recorder.gauge("sparse.density", float(density))
-            if report is not None:
-                recorder.count("sparse.states_pruned", report.pruned())
-                recorder.count("sparse.push_saved", report.push_symbols)
-                recorder.count("sparse.failure_arcs", report.shared_rows)
+            telemetry.count("sparse.states_pruned", report.pruned())
+            telemetry.count("sparse.push_saved", report.push_symbols)
 
         return QueryPlan(
             query=query,
@@ -323,13 +266,9 @@ class QueryPlan:
             uniformity=compiled.uniformity(),
             default_order=_DEFAULT_ORDER[kind],
             confidence_algorithm=_CONFIDENCE_ALGORITHM[kind],
-            sparse_threshold=resolved,
-            density=density,
-            representation=representation,
             shrunk=shrunk,
             push=push,
             shrink_report=report,
-            sparse=kernel,
         )
 
     # ------------------------------------------------------------------
@@ -388,17 +327,12 @@ class QueryPlan:
                 f"|Q_A| {len(self.query.pattern.states)}->{len(self.minimized.pattern.states)}  "
                 f"|Q_E| {len(self.query.suffix.states)}->{len(self.minimized.suffix.states)}"
             )
-        lines.append(
-            f"sparse:      density={self.density} "
-            f"(threshold {self.sparse_threshold}) -> {self.representation}"
-            + (" + CSR kernel" if self.sparse is not None else "")
-        )
         if self.shrink_report is not None:
             report = self.shrink_report
             lines.append(
                 f"shrink:      |Q| {report.states_before}->{report.states_after}  "
                 f"nnz {report.transitions_before}->{report.transitions_after}  "
-                f"push={report.push_symbols}  shared-rows={report.shared_rows}"
+                f"push={report.push_symbols}"
             )
         lines.append(f"confidence:  {self.confidence_algorithm}")
         if self.kind in (PlanKind.GENERAL, PlanKind.UNIFORM):

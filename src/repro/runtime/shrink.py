@@ -1,9 +1,9 @@
-"""Plan-time automaton shrinking: trim, weight pushing, failure-arc factoring.
+"""Plan-time automaton shrinking: trim and weight pushing.
 
 Every engine in this repo runs some DP over the compiled transducer, so
 work removed from the automaton *once at plan time* speeds up serial,
-pooled, vectorized, streaming and FPRAS execution together. Three
-passes, all exactly confidence-preserving:
+pooled, vectorized, streaming and FPRAS execution together. Two
+passes, both exactly confidence-preserving:
 
 * **trim** — drop states that are unreachable from the initial state or
   dead (no accepting state reachable from them). Accepting runs only
@@ -13,25 +13,17 @@ passes, all exactly confidence-preserving:
 * **weight pushing** — compute, per live state ``q``, the longest common
   prefix of the emissions of *all* accepting continuations from ``q``
   (the string-semiring analogue of pushing weights toward the initial
-  state). The sparse kernels use it to discard DP cells whose remaining
-  target output cannot start with that guaranteed prefix — cells that
-  provably contribute zero, so dropping them changes nothing;
-* **failure-arc factoring** — states whose outgoing transition rows are
-  identical (same targets, same emissions, for every symbol) share one
-  physical row in the CSR kernel, the dense-automaton analogue of
-  failure/default arcs in Aho-Corasick-style machines. Pure storage and
-  cache-locality sharing: dispatch is unchanged.
+  state). :func:`repro.confidence.deterministic.confidence_deterministic`
+  takes the table as a filter on moves, discarding DP cells whose
+  remaining target output cannot start with that guaranteed prefix —
+  cells that provably contribute zero, so dropping them changes nothing.
 
-Density measurement also lives here: the planner picks the sparse or
-dense representation from ``nnz / (|Sigma| * |Q|^2)`` (see
-:mod:`repro.runtime.plan`), computed exactly as a ``Fraction`` — this
-module is inside the RX01 exact zone and never touches floats.
+This module is inside the RX01 exact zone and never touches floats.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from collections.abc import Hashable
 
 from repro.automata.nfa import NFA
@@ -57,10 +49,8 @@ class ShrinkReport:
     pruned_unreachable: int
     pruned_dead: int
     #: Total guaranteed-prefix symbols over live states — the weight
-    #: pushing savings the sparse kernels can prune against.
+    #: pushing savings the DP's move filter can prune against.
     push_symbols: int
-    #: States sharing another state's (identical) transition row.
-    shared_rows: int
 
     def pruned(self) -> int:
         return self.pruned_unreachable + self.pruned_dead
@@ -98,7 +88,7 @@ def push_table(transducer: Transducer) -> dict:
     ``q`` to a tuple that is a prefix of the emission of *every* path
     from ``q`` to an accepting state (the longest such common prefix, up
     to :data:`PUSH_CAP`). States with no accepting continuation (dead
-    states) are absent — kernels treat absence as "prune always", which
+    states) are absent — the DP treats absence as "prune always", which
     is exact because such cells can never contribute to a confidence.
 
     Computed as a decreasing fixed point: accepting states start at the
@@ -131,25 +121,8 @@ def push_table(transducer: Transducer) -> dict:
     return push
 
 
-def _shared_row_count(transducer: Transducer) -> int:
-    """How many states reuse another state's identical transition row."""
-    nfa = transducer.nfa
-    symbols = sorted(nfa.alphabet, key=repr)
-    signatures: set[tuple] = set()
-    states = 0
-    for state in nfa.states:
-        row = tuple(
-            (si, target, transducer.emission(state, symbol, target))
-            for si, symbol in enumerate(symbols)
-            for target in sorted(nfa.successors(state, symbol), key=repr)
-        )
-        signatures.add(row)
-        states += 1
-    return states - len(signatures)
-
-
 def shrink_transducer(transducer: Transducer) -> tuple[Transducer, dict, ShrinkReport]:
-    """Trim + push + factor; returns ``(shrunk, push_table, report)``.
+    """Trim + push; returns ``(shrunk, push_table, report)``.
 
     The shrunk transducer keeps the full input alphabet and the original
     state identities (so persisted streaming frontiers keyed on state
@@ -194,33 +167,5 @@ def shrink_transducer(transducer: Transducer) -> tuple[Transducer, dict, ShrinkR
         pruned_unreachable=pruned_unreachable,
         pruned_dead=pruned_dead,
         push_symbols=sum(len(prefix) for prefix in push.values()),
-        shared_rows=_shared_row_count(shrunk),
     )
     return shrunk, push, report
-
-
-def measure_density(transducer: Transducer, sample_cap: int = 4096) -> Fraction:
-    """Transition density ``nnz / (|Sigma| * |Q|^2)`` as an exact Fraction.
-
-    Up to ``sample_cap`` states this is the exact count; beyond it, the
-    per-state out-degree is averaged over an evenly spaced deterministic
-    state sample (sorted by ``repr``, fixed stride) and scaled — still a
-    plain rational, and reproducible: the same transducer always yields
-    the same estimate.
-    """
-    nfa = transducer.nfa
-    num_states = len(nfa.states)
-    num_symbols = len(nfa.alphabet)
-    if num_states == 0 or num_symbols == 0:
-        return Fraction(0)
-    if num_states <= sample_cap:
-        return Fraction(nfa.num_transitions, num_symbols * num_states * num_states)
-    states = sorted(nfa.states, key=repr)
-    stride = max(1, num_states // sample_cap)
-    sample = states[::stride][:sample_cap]
-    out_degree = sum(
-        len(nfa.successors(state, symbol))
-        for state in sample
-        for symbol in nfa.alphabet
-    )
-    return Fraction(out_degree, len(sample) * num_symbols * num_states)

@@ -16,16 +16,31 @@ A semiring here is a small object with ``zero``, ``one``, ``add`` and
 ``mul``. The real and Viterbi semirings are value-type agnostic: they work
 equally with ``float`` and with exact :class:`fractions.Fraction` entries,
 which is how the library offers exact rational arithmetic (the paper's
-convention, Section 3.2) without a parallel code path.
+convention, Section 3.2) without a parallel code path. The log semiring
+carries a ``lift`` that maps a probability into the semiring;
+:meth:`Semiring.lift_sequence` applies it once per DP call, so the same
+recursion runs in log space for sequences whose world probabilities
+underflow IEEE doubles.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
-from typing import Any, Callable, Generic, TypeVar
+from collections.abc import Hashable, Iterable, Mapping, Sequence
+from fractions import Fraction
+from typing import TYPE_CHECKING, Any, Callable, Generic, TypeVar
+
+if TYPE_CHECKING:
+    from repro.markov.sequence import MarkovSequence
 
 T = TypeVar("T")
+
+#: A Markov sequence as a layered DP reads it: the initial weights and,
+#: per transition, ``{source: {target: weight}}``.
+Weights = tuple[
+    Mapping[Hashable, Any],
+    Sequence[Mapping[Hashable, Mapping[Hashable, Any]]],
+]
 
 
 class Semiring(Generic[T]):
@@ -43,9 +58,12 @@ class Semiring(Generic[T]):
     is_zero:
         Optional predicate recognizing the additive identity; defaults to
         equality with ``zero``.
+    lift:
+        Optional map from a probability to a semiring value; ``None``
+        means probabilities are semiring values as they are.
     """
 
-    __slots__ = ("name", "zero", "one", "add", "mul", "_is_zero")
+    __slots__ = ("name", "zero", "one", "add", "mul", "_is_zero", "lift")
 
     def __init__(
         self,
@@ -55,6 +73,7 @@ class Semiring(Generic[T]):
         add: Callable[[T, T], T],
         mul: Callable[[T, T], T],
         is_zero: Callable[[T], bool] | None = None,
+        lift: Callable[[Any], T] | None = None,
     ) -> None:
         self.name = name
         self.zero = zero
@@ -62,6 +81,7 @@ class Semiring(Generic[T]):
         self.add = add
         self.mul = mul
         self._is_zero = is_zero if is_zero is not None else (lambda x: x == zero)
+        self.lift = lift
 
     def is_zero(self, value: T) -> bool:
         """Return True if ``value`` is the additive identity."""
@@ -81,6 +101,29 @@ class Semiring(Generic[T]):
             total = self.mul(total, value)
         return total
 
+    def lift_sequence(self, sequence: MarkovSequence) -> Weights:
+        """``(initial, transitions)`` of ``sequence`` with weights in this semiring.
+
+        ``initial`` maps each node to its weight and ``transitions[i - 1]``
+        maps each source node to ``{target: weight}`` for transition ``i``
+        — the plain dicts a layered DP reads per cell. Without a lift
+        they hold the sequence's own probabilities (read-only); with one,
+        every probability is lifted exactly once here, before the DP runs.
+        """
+        lift = self.lift
+        steps = range(1, sequence.length)
+        if lift is None:
+            return dict(sequence.initial_support()), [sequence.transition_rows(i) for i in steps]
+        initial = {symbol: lift(prob) for symbol, prob in sequence.initial_support()}
+        transitions = [
+            {
+                source: {target: lift(prob) for target, prob in row.items()}
+                for source, row in sequence.transition_rows(i).items()
+            }
+            for i in steps
+        ]
+        return initial, transitions
+
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return f"Semiring({self.name})"
 
@@ -96,14 +139,31 @@ def _log_add(x: float, y: float) -> float:
     return x + math.log1p(math.exp(y - x))
 
 
+def _log_lift(prob: Any) -> float:
+    """``log(prob)``, taken without rounding an exact rational to a double.
+
+    ``float(Fraction(1, 10**400))`` is ``0.0``, whose log is ``-inf``;
+    the log of numerator and denominator separately keeps the true
+    magnitude (``-921.03...``).
+    """
+    if prob <= 0:
+        return -math.inf
+    if isinstance(prob, Fraction):
+        return math.log(prob.numerator) - math.log(prob.denominator)
+    return math.log(prob)
+
+
 #: Probability semiring: (R>=0, +, *, 0, 1). Works with float and Fraction.
 REAL: Semiring[Any] = Semiring("real", 0, 1, lambda a, b: a + b, lambda a, b: a * b)
 
 #: Viterbi semiring: (R>=0, max, *, 0, 1). Used for E_max / I_max scores.
 VITERBI: Semiring[Any] = Semiring("viterbi", 0, 1, max, lambda a, b: a * b)
 
-#: Log semiring: (R u {-inf}, logaddexp, +, -inf, 0). Float-only.
-LOG: Semiring[float] = Semiring("log", -math.inf, 0.0, _log_add, lambda a, b: a + b)
+#: Log semiring: (R u {-inf}, logaddexp, +, -inf, 0). Float-only; lifts
+#: probabilities to natural logs.
+LOG: Semiring[float] = Semiring(
+    "log", -math.inf, 0.0, _log_add, lambda a, b: a + b, lift=_log_lift
+)
 
 #: Tropical (max-plus) semiring in log space: Viterbi scores as log-probs.
 TROPICAL: Semiring[float] = Semiring(

@@ -25,6 +25,13 @@ OutSymbol = Hashable
 Emission = tuple  # tuple[OutSymbol, ...]
 
 
+class _Unset:
+    """Marker for a memo slot whose value (possibly None) is not known yet."""
+
+
+_UNSET = _Unset()
+
+
 def _as_emission(value) -> Emission:
     """Normalize an emission to a tuple of output symbols.
 
@@ -55,7 +62,14 @@ class Transducer:
         Triples that are absent emit the empty string.
     """
 
-    __slots__ = ("nfa", "_omega", "_output_alphabet", "_move_cache")
+    __slots__ = (
+        "nfa",
+        "_omega",
+        "_output_alphabet",
+        "_move_cache",
+        "_deterministic",
+        "_uniformity",
+    )
 
     def __init__(
         self,
@@ -82,6 +96,10 @@ class Transducer:
                 symbols[out] = None
         self._output_alphabet: tuple[OutSymbol, ...] = tuple(symbols)
         self._move_cache: dict[tuple[State, Symbol], tuple] = {}
+        # Class predicates, computed on first use: the machine is
+        # immutable, and plan-time dispatch asks on every read.
+        self._deterministic: bool | None = None
+        self._uniformity: int | None | _Unset = _UNSET
 
     # ------------------------------------------------------------------
     # Component access
@@ -136,13 +154,16 @@ class Transducer:
         The paper's DFAs are total (exactly one successor); a partial
         deterministic machine behaves identically to its sink-completion,
         and every algorithm keyed on determinism only needs "at most one
-        run per input string", so we accept both.
+        run per input string", so we accept both. Memoized.
         """
-        for state in self.nfa.states:
-            for symbol in self.nfa.alphabet:
-                if len(self.nfa.successors(state, symbol)) > 1:
-                    return False
-        return True
+        deterministic = self._deterministic
+        if deterministic is None:
+            deterministic = self._deterministic = all(
+                len(self.nfa.successors(state, symbol)) <= 1
+                for state in self.nfa.states
+                for symbol in self.nfa.alphabet
+            )
+        return deterministic
 
     def is_selective(self) -> bool:
         """Selective means ``F != Q`` — the transducer filters inputs."""
@@ -154,16 +175,22 @@ class Transducer:
         The paper defines k-uniformity over all of ``Q x Sigma x Q``; for
         behaviour only the triples on real transitions matter, so those are
         what we check. A transducer with no transitions is 0-uniform.
+        Memoized.
         """
-        lengths = {
-            len(self.emission(source, symbol, target))
-            for source, symbol, target in self.nfa.transitions()
-        }
-        if not lengths:
-            return 0
-        if len(lengths) == 1:
-            return next(iter(lengths))
-        return None
+        uniformity = self._uniformity
+        if isinstance(uniformity, _Unset):
+            lengths = {
+                len(self.emission(source, symbol, target))
+                for source, symbol, target in self.nfa.transitions()
+            }
+            if not lengths:
+                uniformity = 0
+            elif len(lengths) == 1:
+                uniformity = next(iter(lengths))
+            else:
+                uniformity = None
+            self._uniformity = uniformity
+        return uniformity
 
     def is_uniform(self) -> bool:
         """True iff omega is k-uniform for some k."""

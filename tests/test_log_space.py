@@ -1,26 +1,33 @@
-"""Log-space confidence: stability on long sequences."""
+"""Log-space confidence: the Theorem-4.6 and language DPs in the LOG semiring."""
 
 from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from repro.errors import InvalidTransducerError
-from repro.markov.builders import iid, random_sequence
+from repro.markov.builders import iid
 from repro.automata.nfa import NFA
 from repro.automata.regex import regex_to_dfa
 from repro.transducers.library import collapse_transducer
 from repro.transducers.transducer import Transducer
 from repro.confidence.deterministic import confidence_deterministic
-from repro.confidence.log_space import (
-    log_confidence_deterministic,
-    log_language_probability,
-)
 from repro.confidence.language import language_probability
+from repro.markov.sequence import MarkovSequence
+from repro.semiring import LOG
 
 from tests.conftest import make_random_deterministic_transducer, make_sequence
+
+
+def log_confidence_deterministic(sequence, transducer, output) -> float:
+    return confidence_deterministic(sequence, transducer, output, semiring=LOG)
+
+
+def log_language_probability(sequence, dfa) -> float:
+    return language_probability(sequence, dfa, semiring=LOG)
 
 
 def test_matches_linear_space_on_small_instances() -> None:
@@ -96,3 +103,21 @@ def test_rejects_nondeterministic() -> None:
     )
     with pytest.raises(InvalidTransducerError):
         log_confidence_deterministic(sequence, nondeterministic, ())
+
+
+def test_exact_inputs_below_double_range_do_not_underflow() -> None:
+    """A ``Fraction`` far below the smallest double is lifted exactly:
+    ``log(1/10**400) + log(1/2)`` rather than ``log(float(...)) = -inf``."""
+    tiny = Fraction(1, 10**400)
+    half = Fraction(1, 2)
+    sequence = MarkovSequence(
+        "ab",
+        {"a": tiny, "b": 1 - tiny},
+        [{"a": {"a": half, "b": half}, "b": {"a": half, "b": half}}],
+    )
+    want = -400 * math.log(10) - math.log(2)
+    transducer = collapse_transducer({"a": "X", "b": "Y"})
+    log_value = log_confidence_deterministic(sequence, transducer, ("X", "X"))
+    assert math.isclose(log_value, want, rel_tol=1e-12)
+    dfa = regex_to_dfa("aa", "ab")
+    assert math.isclose(log_language_probability(sequence, dfa), want, rel_tol=1e-12)

@@ -10,7 +10,7 @@ from repro.oracle.registry import ENGINES, Prepared, VerifyContext, engine_matri
 ENGINE_NAMES = tuple(engine.name for engine in ENGINES)
 
 
-def test_registry_has_the_ten_engine_families() -> None:
+def test_registry_has_the_nine_engine_families() -> None:
     assert ENGINE_NAMES == (
         "brute-force",
         "dense",
@@ -20,7 +20,6 @@ def test_registry_has_the_ten_engine_families() -> None:
         "runtime",
         "pool",
         "vectorized",
-        "dense_sparse",
         "approx",
     )
 

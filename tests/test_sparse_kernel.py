@@ -1,4 +1,4 @@
-"""Unit tests for the shrink pass, the CSR kernels, and plan dispatch."""
+"""Unit tests for the shrink pass, the push filter on moves, and plan dispatch."""
 
 from __future__ import annotations
 
@@ -11,19 +11,17 @@ from repro import telemetry
 from repro.automata.nfa import NFA
 from repro.confidence.brute_force import brute_force_answers
 from repro.confidence.deterministic import confidence_deterministic
-from repro.confidence.log_space import log_confidence_deterministic
-from repro.confidence.sparse import SparseKernel, confidence_sparse, log_confidence_sparse
 from repro.errors import InvalidTransducerError
 from repro.oracle.generators import (
-    make_failure_arc_transducer,
     make_fraction_sequence,
     make_random_deterministic_transducer,
     make_sparse_transducer,
 )
 from repro.runtime.executor import plan_confidence
 from repro.runtime.incremental import StreamingEvaluator
-from repro.runtime.plan import SPARSE_DENSITY_THRESHOLD, QueryPlan, fingerprint
-from repro.runtime.shrink import measure_density, push_table, shrink_transducer
+from repro.runtime.plan import QueryPlan
+from repro.runtime.shrink import push_table, shrink_transducer
+from repro.semiring import LOG
 from repro.transducers.transducer import Transducer
 
 
@@ -99,33 +97,13 @@ def test_shrink_keeps_dead_initial_state() -> None:
     assert "i" not in push  # dead: no accepting continuation
 
 
-def test_measure_density_exact_and_sampled() -> None:
-    transducer = make_sparse_transducer(num_states=64)
-    exact = measure_density(transducer)
-    assert exact == Fraction(1, 64)
-    # All rows have out-degree |alphabet|, so any sample agrees exactly.
-    assert measure_density(transducer, sample_cap=8) == exact
-
-
-def test_kernel_shares_failure_arc_rows() -> None:
-    transducer = make_failure_arc_transducer(num_states=64)
-    kernel = SparseKernel(transducer)
-    assert kernel.num_rows == 32
-    assert kernel.shared_rows == 32
-    # Paired states dispatch identically.
-    assert kernel.moves("q000", "a") == kernel.moves("q001", "a")
-    assert kernel.moves("q000", "b") == kernel.moves("q001", "b")
-    # ...and agree with the dict representation.
-    for state in ("q000", "q001", "q033"):
-        for symbol in "ab":
-            assert kernel.moves(state, symbol) == transducer.moves(state, symbol)
-
-
 def test_kernel_rejects_nondeterministic() -> None:
     nfa = NFA("a", ["p", "q"], "p", {"q"}, {("p", "a"): {"p", "q"}})
     omega = {("p", "a", "p"): ("x",), ("p", "a", "q"): ("x",)}
+    transducer = Transducer(nfa, omega)
+    sequence = make_fraction_sequence("a", 2, random.Random("nondeterministic"))
     with pytest.raises(InvalidTransducerError):
-        SparseKernel(Transducer(nfa, omega))
+        confidence_deterministic(sequence, transducer, ("x",), push=push_table(transducer))
 
 
 def test_sparse_kernel_bit_identical_to_reference() -> None:
@@ -134,14 +112,13 @@ def test_sparse_kernel_bit_identical_to_reference() -> None:
         transducer = make_random_deterministic_transducer("ab", 4, rng)
         sequence = make_fraction_sequence("ab", 3, rng)
         shrunk, push, _report = shrink_transducer(transducer)
-        kernel = SparseKernel(shrunk, push=push)
         for answer in brute_force_answers(sequence, transducer):
             want = confidence_deterministic(sequence, transducer, answer)
-            got = confidence_sparse(sequence, kernel, answer)
+            got = confidence_deterministic(sequence, shrunk, answer, push=push)
             assert isinstance(got, (int, Fraction))
             assert got == want
         # An impossible answer must come back exactly zero.
-        assert confidence_sparse(sequence, kernel, ("x",) * 9) == 0
+        assert confidence_deterministic(sequence, shrunk, ("x",) * 9, push=push) == 0
 
 
 def test_log_kernel_matches_log_reference() -> None:
@@ -149,70 +126,33 @@ def test_log_kernel_matches_log_reference() -> None:
     transducer = make_sparse_transducer(num_states=16)
     sequence = make_fraction_sequence(("a", "b", "c"), 4, rng).as_float()
     shrunk, push, _report = shrink_transducer(transducer)
-    kernel = SparseKernel(shrunk, push=push)
     answers = brute_force_answers(sequence, transducer)
     for answer in list(answers)[:5]:
-        want = log_confidence_deterministic(sequence, transducer, answer)
-        got = log_confidence_sparse(sequence, kernel, answer)
+        want = confidence_deterministic(sequence, transducer, answer, semiring=LOG)
+        got = confidence_deterministic(sequence, shrunk, answer, semiring=LOG, push=push)
         assert got == pytest.approx(want, rel=1e-9)
-
-
-def test_planner_picks_sparse_below_threshold() -> None:
-    plan = QueryPlan.build(make_sparse_transducer(num_states=64))
-    assert plan.density == Fraction(1, 64)
-    assert plan.sparse_threshold == SPARSE_DENSITY_THRESHOLD
-    assert plan.representation == "sparse"
-    assert plan.sparse is not None
-    assert plan.shrunk is not None
-    assert "sparse" in plan.describe()
-    assert "shrink" in plan.describe()
-
-
-def test_planner_picks_dense_above_threshold() -> None:
-    # A 2-state total machine has density 1/2 > 0.25.
-    nfa = NFA(
-        "ab",
-        ["p", "q"],
-        "p",
-        {"p", "q"},
-        {
-            ("p", "a"): {"q"},
-            ("p", "b"): {"p"},
-            ("q", "a"): {"p"},
-            ("q", "b"): {"q"},
-        },
-    )
-    omega = {move: ("x",) for move in nfa.transitions()}
-    plan = QueryPlan.build(Transducer(nfa, omega))
-    assert plan.density == Fraction(1, 2)
-    assert plan.representation == "dense"
-    assert plan.sparse is None
-    # Forcing the threshold flips the choice (and the fingerprint).
-    forced = QueryPlan.build(Transducer(nfa, omega), sparse_threshold=1.0)
-    assert forced.representation == "sparse"
-    assert forced.sparse is not None
-    assert forced.fingerprint != plan.fingerprint
 
 
 def test_plan_confidence_routes_through_kernel() -> None:
     rng = random.Random("sparse-dispatch")
     transducer = make_sparse_transducer(num_states=64)
     sequence = make_fraction_sequence(("a", "b", "c"), 3, rng)
-    sparse_plan = QueryPlan.build(transducer)
-    dense_plan = QueryPlan.build(transducer, sparse_threshold=-1.0)
-    assert sparse_plan.sparse is not None
-    assert dense_plan.sparse is None
+    shrunk_plan = QueryPlan.build(transducer)
+    plain_plan = QueryPlan.build(transducer, shrink=False)
+    assert shrunk_plan.push is not None
+    assert plain_plan.push is None
+    assert "shrink" in shrunk_plan.describe()
     for answer in list(brute_force_answers(sequence, transducer))[:4]:
         want = confidence_deterministic(sequence, transducer, answer)
-        assert plan_confidence(sparse_plan, sequence, answer) == want
-        assert plan_confidence(dense_plan, sequence, answer) == want
+        assert plan_confidence(shrunk_plan, sequence, answer) == want
+        assert plan_confidence(plain_plan, sequence, answer) == want
 
 
 def test_shrink_off_plan_still_exact() -> None:
     rng = random.Random("sparse-noshrink")
     transducer = _chain_transducer()
     sequence = make_fraction_sequence("ab", 3, rng)
-    plan = QueryPlan.build(transducer, sparse_threshold=1.0, shrink=False)
+    plan = QueryPlan.build(transducer, shrink=False)
     assert plan.shrunk is None
     assert plan.shrink_report is None
     assert plan.execution is plan.compiled
@@ -225,7 +165,7 @@ def test_streaming_restore_with_sparse_plan() -> None:
     transducer = make_sparse_transducer(num_states=64)
     sequence = make_fraction_sequence(("a", "b", "c"), 3, rng)
     evaluator = StreamingEvaluator(transducer, sequence)
-    assert evaluator.plan.sparse is not None
+    assert evaluator.plan.shrunk is not None
     restored = StreamingEvaluator.restore(transducer, sequence, evaluator.frontier)
     assert restored.confidences() == evaluator.confidences()
     step = {s: {"a": Fraction(1, 2), "b": Fraction(1, 2)} for s in ("a", "b", "c")}
@@ -235,32 +175,70 @@ def test_streaming_restore_with_sparse_plan() -> None:
 def test_sparse_metrics_emitted() -> None:
     telemetry.enable()
     try:
-        QueryPlan.build(make_sparse_transducer(num_states=64))
-        QueryPlan.build(make_failure_arc_transducer(num_states=64))
-        rng = random.Random("sparse-metrics")
-        sequence = make_fraction_sequence(("a", "b", "c"), 2, rng)
-        plan = QueryPlan.build(make_sparse_transducer(num_states=64))
-        plan_confidence(plan, sequence, ("x", "x"))
-        snap = telemetry.snapshot()
-        counters = snap["counters"]
-        assert counters["sparse.plans.sparse"] >= 3
-        assert counters["sparse.kernel.runs"] >= 1
-        assert counters["sparse.failure_arcs"] >= 32
-        assert "sparse.states_pruned" in counters
-        assert "sparse.push_saved" in counters
-        assert snap["gauges"]["sparse.density"] == pytest.approx(1 / 64)
-        QueryPlan.build(_chain_transducer())  # density 5/20 -> dense? no: 0.25 <= 0.25
-        dense_nfa = NFA("a", ["p"], "p", {"p"}, {("p", "a"): {"p"}})
-        QueryPlan.build(Transducer(dense_nfa, {("p", "a", "p"): ("x",)}))
-        assert telemetry.snapshot()["counters"]["sparse.plans.dense"] >= 1
+        QueryPlan.build(_chain_transducer())
+        QueryPlan.build(_chain_transducer(), shrink=False)  # emits nothing
+        counters = telemetry.snapshot()["counters"]
+        assert counters["sparse.states_pruned"] == 2  # "lost" + "dead"
+        assert counters["sparse.push_saved"] == 3  # s0: x, y; s1: y
+        assert sorted(name for name in counters if name.startswith("sparse.")) == [
+            "sparse.push_saved",
+            "sparse.states_pruned",
+        ]
     finally:
         telemetry.disable()
 
 
-def test_fingerprint_mixes_threshold() -> None:
-    transducer = make_sparse_transducer(num_states=8)
-    default = fingerprint(transducer)
-    assert default == fingerprint(transducer, SPARSE_DENSITY_THRESHOLD)
-    assert fingerprint(transducer, 1.0) != default
-    assert fingerprint(transducer, -1.0) != default
-    assert fingerprint(transducer, 1.0) != fingerprint(transducer, -1.0)
+def _push_drop_transducer() -> Transducer:
+    """Every accepting continuation from ``m`` emits ``z``; ``m`` itself
+    is live (it loops on ``a`` and exits on ``b``), so trimming keeps it
+    and only the push filter can drop cells that reach it."""
+    nfa = NFA(
+        "ab",
+        ["i", "m", "f"],
+        "i",
+        {"f"},
+        {
+            ("i", "a"): {"m"},
+            ("i", "b"): {"f"},
+            ("m", "a"): {"m"},
+            ("m", "b"): {"f"},
+            ("f", "a"): {"f"},
+            ("f", "b"): {"f"},
+        },
+    )
+    omega = {("i", "a", "m"): ("x",), ("i", "b", "f"): ("y",), ("m", "b", "f"): ("z",)}
+    return Transducer(nfa, omega)
+
+
+class _CountingTransducer(Transducer):
+    """Counts DP move lookups: each one expands one live DP cell."""
+
+    __slots__ = ("lookups",)
+
+    def __init__(self, nfa, omega) -> None:
+        super().__init__(nfa, omega)
+        self.lookups = 0
+
+    def moves(self, state, symbol):
+        self.lookups += 1
+        return super().moves(state, symbol)
+
+
+def test_push_filter_drops_cells_bit_identically() -> None:
+    shrunk, push, report = shrink_transducer(_push_drop_transducer())
+    assert report.pruned() == 0
+    assert push["m"] == ("z",)
+    sequence = make_fraction_sequence("ab", 4, random.Random("push-drop"))
+    for answer in [("x",), ("x", "z"), ("y",), ("x", "z", "z")]:
+        plain = _CountingTransducer(shrunk.nfa, shrunk.omega_dict())
+        filtered = _CountingTransducer(shrunk.nfa, shrunk.omega_dict())
+        want = confidence_deterministic(sequence, plain, answer, push=None)
+        got = confidence_deterministic(sequence, filtered, answer, push=push)
+        assert type(got) is type(want)
+        assert got == want
+        if answer == ("x",):
+            # (a, m, 1) cannot emit the pushed "z" inside ("x",): the
+            # filter drops it at layer 0, so its descendants never expand.
+            assert want == 0
+            assert filtered.lookups < plain.lookups
+    assert confidence_deterministic(sequence, shrunk, ("x", "z"), push=push) > 0

@@ -1,9 +1,9 @@
-"""PlanCache and worker-cache soundness under the sparse threshold.
+"""Worker-cache soundness for shrunk plans.
 
-The density threshold participates in the plan fingerprint, so a cache
-must never serve a dense-built plan to a query planned under a
-sparse-forcing threshold (or vice versa) — and worker-local caches must
-rebuild chunk plans under the exact representation the parent shipped.
+Workers receive the raw query plus its fingerprint and rebuild the plan
+in a worker-local cache; the rebuilt plan must carry the same shrunk
+machine and weight-pushing table as the parent's, so a chunk computes
+bit-identical confidences, and a replayed chunk is a pure cache hit.
 """
 
 from __future__ import annotations
@@ -18,53 +18,7 @@ from repro.parallel.worker import (
     make_task,
     worker_plan_cache,
 )
-from repro.runtime.cache import PlanCache
-from repro.runtime.plan import QueryPlan, fingerprint
-
-
-def test_cache_keys_thresholds_separately() -> None:
-    cache = PlanCache()
-    query = make_sparse_transducer(num_states=64)
-    sparse_plan = cache.get(query, sparse_threshold=1.0)
-    dense_plan = cache.get(query, sparse_threshold=-1.0)
-    default_plan = cache.get(query)
-    assert sparse_plan.representation == "sparse"
-    assert dense_plan.representation == "dense"
-    # density 1/64 is far below the default threshold.
-    assert default_plan.representation == "sparse"
-    # Three distinct fingerprints, three distinct cached plans.
-    assert len({sparse_plan.fingerprint, dense_plan.fingerprint, default_plan.fingerprint}) == 3
-    assert len(cache) == 3
-    assert cache.misses == 3 and cache.hits == 0
-
-
-def test_cache_hits_same_threshold_never_cross_serves() -> None:
-    cache = PlanCache()
-    query = make_sparse_transducer(num_states=64)
-    first = cache.get(query, sparse_threshold=-1.0)
-    again = cache.get(query, sparse_threshold=-1.0)
-    assert again is first  # a genuine hit
-    assert cache.hits == 1
-    other = cache.get(query, sparse_threshold=1.0)
-    assert other is not first
-    assert other.representation == "sparse" and first.representation == "dense"
-    # Repeating both thresholds only ever returns the matching plan.
-    assert cache.get(query, sparse_threshold=-1.0) is first
-    assert cache.get(query, sparse_threshold=1.0) is other
-
-
-def test_fingerprint_hint_preserves_threshold_identity() -> None:
-    cache = PlanCache()
-    query = make_sparse_transducer(num_states=64)
-    hint = fingerprint(query, 1.0)
-    plan = cache.get(query, fingerprint_hint=hint, sparse_threshold=1.0)
-    assert plan.fingerprint == hint
-    assert plan.representation == "sparse"
-    # The default-threshold key is untouched: a later default get builds
-    # its own plan instead of being served the forced one.
-    default_plan = cache.get(query)
-    assert default_plan is not plan
-    assert default_plan.fingerprint == fingerprint(query)
+from repro.runtime.plan import QueryPlan
 
 
 def test_worker_cache_honors_shipped_representation() -> None:
@@ -75,42 +29,39 @@ def test_worker_cache_honors_shipped_representation() -> None:
     output = answers[0]
     want = confidence_deterministic(sequence, query, output)
 
-    sparse_plan = QueryPlan.build(query, sparse_threshold=1.0)
-    dense_plan = QueryPlan.build(query, sparse_threshold=-1.0)
+    plan = QueryPlan.build(query)
     worker_cache = worker_plan_cache()
     worker_cache.clear()
 
-    for plan in (sparse_plan, dense_plan):
-        task = make_task(
-            MODE_CONFIDENCE,
-            plan,
-            [("stream-0", sequence)],
-            output=output,
-            allow_exponential=True,
-        )
-        assert task.sparse_threshold == plan.sparse_threshold
-        result = execute_chunk(task)
-        ((name, value),) = result.payload
-        assert name == "stream-0"
-        assert value == want
-
-    # Two tasks, two distinct worker-side plans — one per representation.
-    assert len(worker_cache) == 2
-    reps = sorted(
-        cached.representation for cached in worker_cache._plans.values()
+    task = make_task(
+        MODE_CONFIDENCE,
+        plan,
+        [("stream-0", sequence)],
+        output=output,
+        allow_exponential=True,
     )
-    assert reps == ["dense", "sparse"]
-    # Replaying the sparse task is a pure hit: no third plan appears.
+    result = execute_chunk(task)
+    ((name, value),) = result.payload
+    assert name == "stream-0"
+    assert value == want
+
+    # The worker rebuilt the parent's plan: same key, same shrunk machine.
+    assert len(worker_cache) == 1
+    (rebuilt,) = worker_cache._plans.values()
+    assert rebuilt.fingerprint == plan.fingerprint
+    assert rebuilt.push == plan.push
+    assert rebuilt.execution.nfa.states == plan.execution.nfa.states
+    # Replaying the task is a pure hit: no second plan appears.
     execute_chunk(
         make_task(
             MODE_CONFIDENCE,
-            sparse_plan,
+            plan,
             [("stream-1", sequence)],
             output=output,
             allow_exponential=True,
         )
     )
-    assert len(worker_cache) == 2
+    assert len(worker_cache) == 1
     worker_cache.clear()
 
 

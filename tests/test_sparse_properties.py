@@ -1,15 +1,13 @@
-"""Hypothesis properties for the sparse kernels and the shrink pass.
+"""Hypothesis properties for the shrink pass and the push filter on moves.
 
-Three families, mirroring the exactness story of the dense paths:
+Two families, mirroring the exactness story of the dense paths:
 
-1. Shrinking (trim + weight pushing + row sharing) preserves the exact
-   ``Fraction`` confidence of every answer — checked against the brute
-   force world enumeration, zero tolerance.
-2. ``measure_density`` returns the true ``nnz / (|alphabet| * |Q|^2)``
-   exactly below the sample cap, and an estimate that agrees exactly on
-   machines with uniform out-degree even when sampling.
-3. A sparse-planned :class:`StreamingEvaluator` appends bit-identically
-   per timestep to a dense-forced replay of the same stream.
+1. Shrinking (trim + weight pushing) preserves the exact ``Fraction``
+   confidence of every answer when the DP runs on the shrunk machine
+   with the push filter — checked against the brute force world
+   enumeration, zero tolerance.
+2. A :class:`StreamingEvaluator` on the shrunk (default) plan appends
+   bit-identically per timestep to a replay on the unshrunk plan.
 """
 
 from __future__ import annotations
@@ -21,11 +19,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.confidence.brute_force import brute_force_answers
-from repro.confidence.sparse import SparseKernel, confidence_sparse
+from repro.confidence.deterministic import confidence_deterministic
 from repro.oracle.generators import make_sparse_transducer
 from repro.runtime.incremental import StreamingEvaluator
 from repro.runtime.plan import QueryPlan
-from repro.runtime.shrink import measure_density, shrink_transducer
+from repro.runtime.shrink import shrink_transducer
 from tests.conftest import (
     make_fraction_sequence,
     make_fraction_timestep,
@@ -42,88 +40,49 @@ def test_shrink_preserves_exact_fractions(seed: int) -> None:
     transducer = make_random_deterministic_transducer("ab", rng.randint(2, 5), rng)
     sequence = make_fraction_sequence("ab", rng.randint(1, 3), rng)
     shrunk, push, _report = shrink_transducer(transducer)
-    kernel = SparseKernel(shrunk, push=push)
     reference = brute_force_answers(sequence, transducer)
     for answer, want in reference.items():
-        got = confidence_sparse(sequence, kernel, answer)
+        got = confidence_deterministic(sequence, shrunk, answer, push=push)
         assert type(got) in (int, Fraction)
         assert got == want
     # A certainly-absent answer stays exactly zero after shrinking.
-    assert confidence_sparse(sequence, kernel, ("x",) * 11) == 0
+    assert confidence_deterministic(sequence, shrunk, ("x",) * 11, push=push) == 0
 
 
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 10**6))
 def test_shrink_preserves_uniform_fast_path(seed: int) -> None:
-    """The k-uniform kernel branch is exact under shrinking too."""
+    """The k-uniform output-length shortcut is exact under shrinking too."""
     rng = random.Random(seed)
     transducer = make_random_uniform_deterministic_transducer(
         "ab", rng.randint(2, 5), rng, k=rng.randint(1, 2)
     )
     sequence = make_fraction_sequence("ab", rng.randint(1, 3), rng)
     shrunk, push, _report = shrink_transducer(transducer)
-    kernel = SparseKernel(shrunk, push=push)
-    assert kernel.uniformity is not None
+    assert shrunk.uniformity() is not None
     for answer, want in brute_force_answers(sequence, transducer).items():
-        assert confidence_sparse(sequence, kernel, answer) == want
-
-
-@settings(max_examples=25, deadline=None)
-@given(seed=st.integers(0, 10**6))
-def test_density_exact_below_sample_cap(seed: int) -> None:
-    """``measure_density`` is the literal nnz ratio when not sampling."""
-    rng = random.Random(seed)
-    transducer = make_random_deterministic_transducer("ab", rng.randint(2, 8), rng)
-    nfa = transducer.nfa
-    nnz = nfa.num_transitions
-    want = Fraction(nnz, len(nfa.alphabet) * len(nfa.states) ** 2)
-    got = measure_density(transducer)
-    assert isinstance(got, Fraction)
-    assert got == want
-    assert 0 <= got <= 1
-
-
-@settings(max_examples=15, deadline=None)
-@given(
-    num_states=st.integers(16, 96),
-    cap=st.integers(4, 12),
-    seed=st.integers(0, 10**6),
-)
-def test_density_estimate_matches_uniform_outdegree(
-    num_states: int, cap: int, seed: int
-) -> None:
-    """Sampling is exact on machines whose rows all have equal out-degree.
-
-    ``make_sparse_transducer`` gives every state exactly one successor
-    per symbol, so any strided state sample sees the same per-row count
-    and the scaled estimate equals the true density 1/|Q|.
-    """
-    transducer = make_sparse_transducer(num_states=num_states, seed=seed)
-    exact = measure_density(transducer)
-    assert exact == Fraction(1, num_states)
-    sampled = measure_density(transducer, sample_cap=cap)
-    assert sampled == exact
+        assert confidence_deterministic(sequence, shrunk, answer, push=push) == want
 
 
 @settings(max_examples=12, deadline=None)
 @given(seed=st.integers(0, 10**6), steps=st.integers(1, 3))
 def test_streaming_sparse_matches_dense_per_timestep(seed: int, steps: int) -> None:
-    """Sparse and dense evaluators agree bit-for-bit after every append."""
+    """Shrunk and unshrunk evaluators agree bit-for-bit after every append."""
     rng = random.Random(seed)
     transducer = make_sparse_transducer(num_states=64, seed=seed % 7)
     alphabet = sorted(transducer.nfa.alphabet)
     sequence = make_fraction_sequence(alphabet, 2, rng)
-    sparse_plan = QueryPlan.build(transducer, sparse_threshold=1.0)
-    dense_plan = QueryPlan.build(transducer, sparse_threshold=-1.0)
-    assert sparse_plan.sparse is not None
-    assert dense_plan.sparse is None
-    sparse_eval = StreamingEvaluator(sparse_plan, sequence)
-    dense_eval = StreamingEvaluator(dense_plan, sequence)
-    assert sparse_eval.confidences() == dense_eval.confidences()
+    shrunk_plan = QueryPlan.build(transducer)
+    plain_plan = QueryPlan.build(transducer, shrink=False)
+    assert shrunk_plan.shrunk is not None
+    assert plain_plan.shrunk is None
+    shrunk_eval = StreamingEvaluator(shrunk_plan, sequence)
+    plain_eval = StreamingEvaluator(plain_plan, sequence)
+    assert shrunk_eval.confidences() == plain_eval.confidences()
     for _ in range(steps):
         timestep = make_fraction_timestep(alphabet, rng)
-        got = sparse_eval.append(timestep)
-        want = dense_eval.append(timestep)
+        got = shrunk_eval.append(timestep)
+        want = plain_eval.append(timestep)
         assert got == want
         for value in got.values():
             assert type(value) in (int, Fraction)
