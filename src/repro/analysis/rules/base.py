@@ -8,7 +8,7 @@ aggregate from :meth:`Rule.finalize`.
 
 Path scoping works on *package-relative* paths: for a file inside a
 ``repro`` package directory the context's ``relpath`` is the part after
-``repro/`` (``confidence/dense.py``), so rules scope themselves the way
+``repro/`` (``confidence/layered.py``), so rules scope themselves the way
 the invariants are stated — by subsystem, not by checkout layout. Tests
 inject synthetic locations via ``lint_source(..., virtual_path=...)``.
 """
@@ -98,7 +98,7 @@ class Rule:
 def package_relative(path: str) -> str:
     """The path relative to the innermost ``repro`` package directory.
 
-    ``src/repro/confidence/dense.py`` → ``confidence/dense.py``; paths
+    ``src/repro/confidence/layered.py`` → ``confidence/layered.py``; paths
     outside any ``repro`` directory are returned as given (normalized to
     posix separators), so subsystem-scoped rules simply do not apply to
     them.

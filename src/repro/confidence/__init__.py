@@ -3,17 +3,21 @@
 Computing the confidence ``conf(o) = Pr(S -> [A^omega] -> o)`` of an answer
 is the paper's second core problem. Its complexity depends on the
 transducer class (Table 2, first row), and this subpackage implements one
-algorithm per positive result plus a brute-force oracle:
+algorithm per positive result plus a brute-force oracle. Every forward DP
+below is an ``advance`` (the cell's progress coordinate is named in the
+table) for the one layered step of :mod:`repro.confidence.layered`:
 
 ==========================  ======================================  ============
 transducer class            algorithm                               paper
 ==========================  ======================================  ============
-deterministic               layered DP, any semiring (LOG for long  Theorem 4.6
-                            sequences), push filter on moves
+deterministic               layered DP over output index j, any     Theorem 4.6
+                            semiring, push filter on moves
 deterministic + k-uniform   same DP; one output position per layer  Theorem 4.6
-nondeterministic, uniform   subset-construction DP                  Theorem 4.8
+deterministic, many answers same DP over an answer-trie node        Theorem 4.6
+nondeterministic, uniform   layered DP over live-state subsets      Theorem 4.8
 s-projector [B]A[E]         Pr(S in L(B . o . E)), lazy subsets     Theorem 5.5
-indexed s-projector         prefix/segment/suffix factorization     Theorem 5.8
+indexed s-projector         forward B-prefix layers x backward      Theorem 5.8
+                            E-suffix layers, segment in between
 any (small instances)       possible-world enumeration              oracle
 ==========================  ======================================  ============
 

@@ -21,8 +21,9 @@ underlying theorem); raced against the per-answer DP in
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Iterable, Sequence
+from collections.abc import Hashable, Iterable, Iterator, Sequence
 
+from repro.confidence.layered import Cell, final_layer
 from repro.errors import InvalidTransducerError
 from repro.markov.sequence import MarkovSequence, Number
 from repro.transducers.transducer import Transducer
@@ -92,27 +93,17 @@ def confidence_deterministic_batch(
         requested.append(output)
         trie.insert(output)
 
+    moves = transducer.moves
+
+    def advance(cell: Cell, target: Symbol) -> Iterator[Cell]:
+        _symbol, state, node = cell
+        for target_state, emission in moves(state, target):
+            node2 = trie.advance(node, emission)
+            if node2 is not None:
+                yield (target, target_state, node2)
+
     nfa = transducer.nfa
-    layer: dict[tuple[Symbol, object, int], Number] = {}
-    for symbol, prob in sequence.initial_support():
-        for state, emission in transducer.moves(nfa.initial, symbol):
-            node = trie.advance(0, emission)
-            if node is not None:
-                key = (symbol, state, node)
-                layer[key] = layer.get(key, 0) + prob
-
-    for i in range(1, sequence.length):
-        nxt: dict[tuple[Symbol, object, int], Number] = {}
-        for (symbol, state, node), mass in layer.items():
-            for target, prob in sequence.successors(i, symbol):
-                for target_state, emission in transducer.moves(state, target):
-                    node2 = trie.advance(node, emission)
-                    if node2 is None:
-                        continue
-                    key = (target, target_state, node2)
-                    nxt[key] = nxt.get(key, 0) + mass * prob
-        layer = nxt
-
+    layer = final_layer(sequence, (nfa.initial, 0), advance)
     results: dict[tuple, Number] = {output: 0 for output in requested}
     for (symbol, state, node), mass in layer.items():
         output = trie.terminal[node]

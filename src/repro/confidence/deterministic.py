@@ -13,7 +13,9 @@ so each layer carries one output position — the sharper bound of the
 theorem — and an output of the wrong length is rejected before any layer
 runs.
 
-This is the only Theorem-4.6 DP in the library. It runs in any semiring
+This is the only Theorem-4.6 DP in the library: an ``advance`` over
+``(state, j)`` for the shared layer step of
+:mod:`repro.confidence.layered`. It runs in any semiring
 (``VITERBI`` gives ``E_max``, ``LOG`` gives the natural log of the
 confidence for sequences whose world probabilities underflow doubles),
 and it optionally takes the weight-pushing table of
@@ -22,8 +24,9 @@ and it optionally takes the weight-pushing table of
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Mapping, Sequence
+from collections.abc import Hashable, Iterator, Mapping, Sequence
 
+from repro.confidence.layered import Cell, final_layer
 from repro.errors import InvalidTransducerError
 from repro.markov.sequence import MarkovSequence, Number
 from repro.semiring import REAL, Semiring
@@ -70,36 +73,23 @@ def confidence_deterministic(
     if uniformity is not None and len(target) != uniformity * sequence.length:
         return semiring.zero
 
-    initial, transitions = semiring.lift_sequence(sequence)
-    add, mul, zero = semiring.add, semiring.mul, semiring.zero
     moves = transducer.moves
-    # Layer 0 is a single virtual cell before the first node, whose one
-    # outgoing row is the initial distribution.
-    layer: dict[tuple[Symbol, object, int], Number] = {
-        (None, transducer.nfa.initial, 0): semiring.one
-    }
-    layers: list[Mapping[Symbol, Mapping[Symbol, Number]]] = [{None: initial}, *transitions]
-    for rows in layers:
-        nxt: dict[tuple[Symbol, object, int], Number] = {}
-        for (symbol, state, j), mass in layer.items():
-            row = rows.get(symbol)
-            if row is None:
-                continue
-            for next_symbol, prob in row.items():
-                for next_state, emission in moves(state, next_symbol):
-                    end = j + len(emission)
-                    if emission and target[j:end] != emission:
-                        continue
-                    if push is not None:
-                        guaranteed = push.get(next_state)
-                        if guaranteed is None or (
-                            guaranteed and target[end : end + len(guaranteed)] != guaranteed
-                        ):
-                            continue
-                    key = (next_symbol, next_state, end)
-                    nxt[key] = add(nxt.get(key, zero), mul(mass, prob))
-        layer = nxt
 
+    def advance(cell: Cell, next_symbol: Symbol) -> Iterator[Cell]:
+        _symbol, state, j = cell
+        for next_state, emission in moves(state, next_symbol):
+            end = j + len(emission)
+            if emission and target[j:end] != emission:
+                continue
+            if push is not None:
+                guaranteed = push.get(next_state)
+                if guaranteed is None or (
+                    guaranteed and target[end : end + len(guaranteed)] != guaranteed
+                ):
+                    continue
+            yield (next_symbol, next_state, end)
+
+    layer = final_layer(sequence, (transducer.nfa.initial, 0), advance, semiring)
     accepting = transducer.nfa.accepting
     return semiring.sum(
         mass

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from collections.abc import Hashable, Sequence
 
+from repro.confidence.layered import Cell, forward
 from repro.errors import AlphabetMismatchError
 from repro.markov.sequence import MarkovSequence, Number
 from repro.semiring import REAL, Semiring
@@ -46,22 +47,11 @@ def forward_prefix_weights(
     B-state for ``j = 0`` is ``B``'s initial state.
     """
     prefix = projector.prefix
-    layers: list[dict[tuple[Symbol, object], Number]] = [{}]
-    layer: dict[tuple[Symbol, object], Number] = {}
-    for symbol, prob in sequence.initial_support():
-        key = (symbol, prefix.step(prefix.initial, symbol))
-        layer[key] = semiring.add(layer.get(key, semiring.zero), prob)
-    layers.append(dict(layer))
-    for i in range(1, sequence.length):
-        nxt: dict[tuple[Symbol, object], Number] = {}
-        for (symbol, state), mass in layer.items():
-            for target, prob in sequence.successors(i, symbol):
-                key = (target, prefix.step(state, target))
-                weight = semiring.mul(mass, prob)
-                nxt[key] = semiring.add(nxt.get(key, semiring.zero), weight)
-        layer = nxt
-        layers.append(dict(layer))
-    return layers
+
+    def advance(cell: Cell, target: Symbol) -> tuple[Cell]:
+        return ((target, prefix.step(cell[1], target)),)
+
+    return [{}, *forward(sequence, (prefix.initial,), advance, semiring)]
 
 
 def backward_suffix_weights(

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from collections.abc import Hashable, Sequence
 
+from repro.confidence.layered import Cell, final_layer
 from repro.markov.sequence import MarkovSequence, Number
 from repro.semiring import REAL, Semiring
 from repro.automata.determinize import LazyDeterminizer
@@ -47,38 +48,28 @@ def language_probability(
     accepted by the automaton. With :data:`~repro.semiring.VITERBI` it is
     the probability of the most likely accepted world; with
     :data:`~repro.semiring.BOOLEAN` it decides whether any accepted world
-    has positive probability; with :data:`~repro.semiring.LOG` it is the
-    natural log of the acceptance probability, stable on sequences long
-    enough for world probabilities to underflow.
+    has positive probability, and :data:`~repro.semiring.COUNTING` counts
+    those worlds; with :data:`~repro.semiring.LOG` it is the natural log
+    of the acceptance probability, stable on sequences long enough for
+    world probabilities to underflow.
     """
     _check_alphabet(sequence, automaton)
     if isinstance(automaton, DFA):
         initial_state = automaton.initial
-        step = automaton.step
+        move = automaton.step
         accepting = automaton.accepting
         is_accepting = accepting.__contains__
     else:
         lazy = LazyDeterminizer(automaton)
         initial_state = lazy.initial
-        step = lazy.step
+        move = lazy.step
         is_accepting = lazy.is_accepting
 
-    initial, transitions = semiring.lift_sequence(sequence)
-    # DP key: (last Markov node, automaton state); value: accumulated mass.
-    layer: dict[tuple[Symbol, object], Number] = {}
-    for symbol, prob in initial.items():
-        key = (symbol, step(initial_state, symbol))
-        layer[key] = semiring.add(layer.get(key, semiring.zero), prob)
+    # DP cell: (last Markov node, automaton state).
+    def advance(cell: Cell, target: Symbol) -> tuple[Cell]:
+        return ((target, move(cell[1], target)),)
 
-    for rows in transitions:
-        nxt: dict[tuple[Symbol, object], Number] = {}
-        for (symbol, state), mass in layer.items():
-            for target, prob in rows.get(symbol, {}).items():
-                key = (target, step(state, target))
-                weight = semiring.mul(mass, prob)
-                nxt[key] = semiring.add(nxt.get(key, semiring.zero), weight)
-        layer = nxt
-
+    layer = final_layer(sequence, (initial_state,), advance, semiring)
     return semiring.sum(
         mass for (_symbol, state), mass in layer.items() if is_accepting(state)
     )

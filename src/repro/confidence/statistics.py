@@ -18,8 +18,9 @@ the extracted room trace be?") and sanity checks in the benchmarks.
 
 from __future__ import annotations
 
-from collections.abc import Hashable
+from collections.abc import Hashable, Iterator
 
+from repro.confidence.layered import Cell, final_layer
 from repro.errors import InvalidTransducerError
 from repro.markov.sequence import MarkovSequence, Number
 from repro.confidence.language import language_probability
@@ -46,23 +47,15 @@ def output_length_distribution(
     """
     _require_deterministic(transducer)
     transducer.check_alphabet(sequence.alphabet)
+    moves = transducer.moves
+
+    def advance(cell: Cell, target: Symbol) -> Iterator[Cell]:
+        _symbol, state, emitted = cell
+        for target_state, emission in moves(state, target):
+            yield (target, target_state, emitted + len(emission))
+
     nfa = transducer.nfa
-
-    layer: dict[tuple[Symbol, object, int], Number] = {}
-    for symbol, prob in sequence.initial_support():
-        for state, emission in transducer.moves(nfa.initial, symbol):
-            key = (symbol, state, len(emission))
-            layer[key] = layer.get(key, 0) + prob
-
-    for i in range(1, sequence.length):
-        nxt: dict[tuple[Symbol, object, int], Number] = {}
-        for (symbol, state, emitted), mass in layer.items():
-            for target, prob in sequence.successors(i, symbol):
-                for target_state, emission in transducer.moves(state, target):
-                    key = (target, target_state, emitted + len(emission))
-                    nxt[key] = nxt.get(key, 0) + mass * prob
-        layer = nxt
-
+    layer = final_layer(sequence, (nfa.initial, 0), advance)
     lengths: dict[int, Number] = {}
     accepted_mass: Number = 0
     for (_symbol, state, emitted), mass in layer.items():

@@ -21,8 +21,9 @@ Proposition 4.7 shows cannot be improved to polynomial in ``|Q_A|``.
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Sequence
+from collections.abc import Hashable, Iterator, Sequence
 
+from repro.confidence.layered import Cell, final_layer
 from repro.errors import InvalidTransducerError
 from repro.markov.sequence import MarkovSequence, Number
 from repro.semiring import REAL, Semiring
@@ -54,40 +55,26 @@ def confidence_uniform(
     if len(target) != k * sequence.length:
         return semiring.zero
 
+    moves = transducer.moves
+
+    # The cell carries the output progress j = k * i next to the subset;
+    # every cell of a layer has the same j.
+    def advance(cell: Cell, symbol: Symbol) -> Iterator[Cell]:
+        _symbol, subset, j = cell
+        expected = target[j : j + k]
+        new_subset = frozenset(
+            nxt
+            for state in subset
+            for nxt, emission in moves(state, symbol)
+            if emission == expected
+        )
+        # The empty subset is absorbing and never accepts; dropping it
+        # keeps "each world appears exactly once" for the rest.
+        if new_subset:
+            yield (symbol, new_subset, j + k)
+
     nfa = transducer.nfa
-
-    def advance(subset: frozenset, symbol: Symbol, expected: tuple) -> frozenset:
-        result = set()
-        for state in subset:
-            for nxt, emission in transducer.moves(state, symbol):
-                if emission == expected:
-                    result.add(nxt)
-        return frozenset(result)
-
-    layer: dict[tuple[Symbol, frozenset], Number] = {}
-    first = tuple(target[0:k])
-    for symbol, prob in sequence.initial_support():
-        subset = advance(frozenset({nfa.initial}), symbol, first)
-        key = (symbol, subset)
-        layer[key] = semiring.add(layer.get(key, semiring.zero), prob)
-
-    for i in range(1, sequence.length):
-        expected = tuple(target[k * i : k * (i + 1)])
-        nxt: dict[tuple[Symbol, frozenset], Number] = {}
-        for (symbol, subset), mass in layer.items():
-            for target_symbol, prob in sequence.successors(i, symbol):
-                # The empty subset is absorbing and never accepts; keeping
-                # it explicit preserves "each world appears exactly once"
-                # without affecting the final sum, but dropping it is the
-                # usual optimization:
-                new_subset = advance(subset, target_symbol, expected) if subset else subset
-                if not new_subset:
-                    continue
-                key = (target_symbol, new_subset)
-                weight = semiring.mul(mass, prob)
-                nxt[key] = semiring.add(nxt.get(key, semiring.zero), weight)
-        layer = nxt
-
+    layer = final_layer(sequence, (frozenset({nfa.initial}), 0), advance, semiring)
     return semiring.sum(
-        mass for (_symbol, subset), mass in layer.items() if subset & nfa.accepting
+        mass for (_symbol, subset, _j), mass in layer.items() if subset & nfa.accepting
     )

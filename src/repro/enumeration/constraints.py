@@ -29,10 +29,12 @@ this graph power everything:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from collections.abc import Hashable, Sequence
+from collections.abc import Hashable, Iterator, Sequence
 
+from repro.confidence.layered import Cell, Layer, forward
 from repro.errors import AlphabetMismatchError
 from repro.markov.sequence import MarkovSequence, Number
+from repro.semiring import BOOLEAN
 from repro.transducers.transducer import Transducer
 
 Symbol = Hashable
@@ -166,27 +168,19 @@ def has_answer(
     """
     _check(sequence, transducer)
     nfa = transducer.nfa
-    n = sequence.length
+    moves = transducer.moves
 
-    layer: set[tuple[Symbol, object, int]] = set()
-    for symbol, _prob in sequence.initial_support():
-        for state, emission in transducer.moves(nfa.initial, symbol):
-            j = constraint.advance(0, emission)
-            if j is not None:
-                layer.add((symbol, state, j))
+    def advance(cell: Cell, target: Symbol) -> Iterator[Cell]:
+        _symbol, state, j = cell
+        for target_state, emission in moves(state, target):
+            j2 = constraint.advance(j, emission)
+            if j2 is not None:
+                yield (target, target_state, j2)
 
-    for i in range(1, n):
-        nxt: set[tuple[Symbol, object, int]] = set()
-        for symbol, state, j in layer:
-            for target, _prob in sequence.successors(i, symbol):
-                for target_state, emission in transducer.moves(state, target):
-                    j2 = constraint.advance(j, emission)
-                    if j2 is not None:
-                        nxt.add((target, target_state, j2))
-        layer = nxt
+    layer: Layer = {}
+    for layer in forward(sequence, (nfa.initial, 0), advance, BOOLEAN):
         if not layer:
             return False
-
     return any(
         state in nfa.accepting and constraint.final_ok(j)
         for _symbol, state, j in layer

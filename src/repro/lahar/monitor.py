@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from collections.abc import Hashable, Mapping
 
+from repro.confidence.layered import Advance, Cell, final_layer, forward, step
 from repro.markov.sequence import MarkovSequence, Number
 from repro.automata.determinize import determinize
 from repro.automata.dfa import DFA
@@ -55,6 +56,17 @@ def _check(sequence: MarkovSequence, automaton: DFA | NFA) -> None:
         )
 
 
+def _advance_through(dfa: DFA) -> Advance:
+    """The product-DP move: cell ``(node, state)`` steps ``dfa`` on the
+    next node."""
+    move = dfa.step
+
+    def advance(cell: Cell, target: Symbol) -> tuple[Cell]:
+        return ((target, move(cell[1], target)),)
+
+    return advance
+
+
 def prefix_acceptance_profile(sequence: MarkovSequence, dfa: DFA) -> list[Number]:
     """``profile[i-1] = Pr(S[1..i] in L(dfa))`` for ``i = 1..n``.
 
@@ -62,25 +74,11 @@ def prefix_acceptance_profile(sequence: MarkovSequence, dfa: DFA) -> list[Number
     Lahar-style dashboard plots per timestep.
     """
     _check(sequence, dfa)
-    profile: list[Number] = []
-    layer: dict[tuple[Symbol, object], Number] = {}
-    for symbol, prob in sequence.initial_support():
-        key = (symbol, dfa.step(dfa.initial, symbol))
-        layer[key] = layer.get(key, 0) + prob
-    profile.append(
-        sum(mass for (_s, state), mass in layer.items() if state in dfa.accepting)
-    )
-    for i in range(1, sequence.length):
-        nxt: dict[tuple[Symbol, object], Number] = {}
-        for (symbol, state), mass in layer.items():
-            for target, prob in sequence.successors(i, symbol):
-                key = (target, dfa.step(state, target))
-                nxt[key] = nxt.get(key, 0) + mass * prob
-        layer = nxt
-        profile.append(
-            sum(mass for (_s, state), mass in layer.items() if state in dfa.accepting)
-        )
-    return profile
+    accepting = dfa.accepting
+    return [
+        sum(mass for (_s, state), mass in layer.items() if state in accepting)
+        for layer in forward(sequence, (dfa.initial,), _advance_through(dfa))
+    ]
 
 
 def unanchored_match_dfa(pattern: NFA | DFA) -> DFA:
@@ -134,14 +132,9 @@ class StreamingMonitor:
     def __init__(self, sequence: MarkovSequence, dfa: DFA) -> None:
         _check(sequence, dfa)
         self._dfa = dfa
+        self._advance = _advance_through(dfa)
         self._length = sequence.length
-        layer: dict[tuple[Symbol, object], Number] = {}
-        for symbol, prob in sequence.initial_support():
-            key = (symbol, dfa.step(dfa.initial, symbol))
-            layer[key] = layer.get(key, 0) + prob
-        for i in range(1, sequence.length):
-            layer = self._push(layer, dict(sequence.transition_rows(i)))
-        self._layer = layer
+        self._layer = final_layer(sequence, (dfa.initial,), self._advance)
 
     @classmethod
     def occurrence(
@@ -163,35 +156,26 @@ class StreamingMonitor:
         """
         self = object.__new__(cls)
         self._dfa = dfa
+        self._advance = _advance_through(dfa)
         self._layer = dict(layer)
         self._length = length
         return self
-
-    def _push(
-        self,
-        layer: Mapping[tuple[Symbol, object], Number],
-        rows: Mapping[Symbol, Mapping[Symbol, Number]],
-    ) -> dict[tuple[Symbol, object], Number]:
-        dfa = self._dfa
-        nxt: dict[tuple[Symbol, object], Number] = {}
-        for (symbol, state), mass in layer.items():
-            for target, prob in rows.get(symbol, {}).items():
-                if prob == 0:
-                    continue
-                key = (target, dfa.step(state, target))
-                nxt[key] = nxt.get(key, 0) + mass * prob
-        return nxt
 
     def append(self, transition: Mapping[Symbol, Mapping[Symbol, Number]]) -> Number:
         """Absorb one timestep; returns the new acceptance probability.
 
         ``transition`` has the same shape as the database append payload
         (source symbol -> successor distribution). Callers are expected
-        to have validated it (the database append does); the monitor
-        only reads the rows it needs, so the push itself cannot fail
-        half-way.
+        to have validated it (the database append does); the new layer
+        is installed only once it is complete, so a failing push leaves
+        the monitor as it was.
         """
-        self._layer = self._push(self._layer, transition)
+        # Zero entries of the raw payload would only add zero-mass cells.
+        rows = {
+            source: {target: prob for target, prob in row.items() if prob != 0}
+            for source, row in transition.items()
+        }
+        self._layer = step(self._layer, rows, self._advance)
         self._length += 1
         return self.value
 

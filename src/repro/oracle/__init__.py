@@ -2,7 +2,7 @@
 
 The repo computes the same answers in many ways: brute-force
 possible-world enumeration, the class-specialized confidence DPs, the
-dense/log-space/exact-``Fraction`` variants, ``repro.runtime`` plan
+log-space/exact-``Fraction`` variants, ``repro.runtime`` plan
 execution, and the ``repro.parallel`` pool and vectorized batch paths.
 This package cross-checks all of them, matrix-shaped like the paper's
 Table 2 (transducer class × engine), in the spirit of randomized

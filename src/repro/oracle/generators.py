@@ -102,7 +102,7 @@ def make_random_uniform_deterministic_transducer(
 ) -> Transducer:
     """A random deterministic transducer with k-uniform emission.
 
-    This is the class the dense and vectorized fast paths require, so the
+    This is the class the vectorized fast path requires, so the
     harness's deterministic-class generator alternates between this and
     the varied-emission factory above.
     """
@@ -221,7 +221,7 @@ def _make_query(label: str, alphabet, rng: random.Random, trial: int):
         return _random_projector(IndexedSProjector, alphabet, rng)
     states = rng.randint(2, 4)
     if label == "deterministic":
-        # Alternate k-uniform (feeds the dense/vectorized matrix cells)
+        # Alternate k-uniform (feeds the vectorized matrix cell)
         # with varied-length emissions (the general Theorem 4.6 DP).
         if trial % 2 == 0:
             return make_random_uniform_deterministic_transducer(

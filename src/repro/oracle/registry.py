@@ -2,18 +2,17 @@
 
 Each :class:`Engine` names one implementation, states which Table-2
 classes it applies to (the static matrix column) plus an optional
-per-instance predicate (e.g. the dense paths additionally need k-uniform
-emission), and knows how to compute ``conf(answer)`` on a prepared
+per-instance predicate (e.g. the vectorized path additionally needs
+k-uniform emission), and knows how to compute ``conf(answer)`` on a prepared
 instance. The differential runner executes every applicable engine and
 diffs the results against the exact-``Fraction`` referee.
 
-The nine engine families of the harness matrix:
+The eight engine families of the harness matrix:
 
 ==================  =====================================================
 engine              implementation
 ==================  =====================================================
 brute-force         possible-world enumeration (the semantic definition)
-dense               numpy vector-matrix DP (:mod:`repro.confidence.dense`)
 log-space           the Theorem-4.6 DP in the ``LOG`` semiring
 fraction            class-specialized DP over exact ``Fraction`` streams
 specialized         class-specialized DP as Table 2 dispatches it
@@ -47,7 +46,6 @@ from fractions import Fraction
 from repro.approx.fpras import ApproxConfidence, approximate_confidence
 from repro.markov.sequence import MarkovSequence, Number
 from repro.confidence.brute_force import brute_force_confidence
-from repro.confidence.dense import confidence_deterministic_dense
 from repro.confidence.deterministic import confidence_deterministic
 from repro.confidence.indexed import confidence_indexed
 from repro.confidence.sprojector import confidence_sprojector
@@ -158,7 +156,7 @@ class Engine:
         ``(prepared, answer, context) -> value``.
     applies:
         Extra per-instance requirement beyond the class label (e.g. the
-        dense paths need k-uniform emission). Cells whose label is in
+        vectorized path needs k-uniform emission). Cells whose label is in
         ``classes`` but whose generated variants never satisfy
         ``applies`` would trip the coverage gate — the generators are
         built to satisfy every predicate at least once per round.
@@ -225,12 +223,6 @@ def _is_dense_eligible(prepared: Prepared) -> bool:
 
 def _brute_force(prepared: Prepared, answer, context: VerifyContext) -> Number:
     return brute_force_confidence(prepared.sequence, prepared.instance.query, answer)
-
-
-def _dense(prepared: Prepared, answer, context: VerifyContext) -> float:
-    return confidence_deterministic_dense(
-        prepared.sequence, prepared.instance.query, answer
-    )
 
 
 def _log_semiring(prepared: Prepared, answer, context: VerifyContext) -> float:
@@ -318,7 +310,6 @@ _DENSE_CLASSES = frozenset({"deterministic"})
 #: The registry, in report-column order.
 ENGINES: tuple[Engine, ...] = (
     Engine("brute-force", _ALL, _brute_force, exact=True),
-    Engine("dense", _DENSE_CLASSES, _dense, applies=_is_dense_eligible),
     Engine(
         "log-space",
         _DENSE_CLASSES,

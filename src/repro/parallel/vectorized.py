@@ -18,9 +18,9 @@ expected emission and only the probability values are gathered per
 stream, which is what makes the batch path fast: the per-stream python
 work is a single sparse scan of the transition rows.
 
-Float-only (numpy), like :mod:`repro.confidence.dense`; for exact
-rationals use the serial sparse DP. Verified against both in the test
-suite.
+Float-only (numpy); for exact rationals use the serial sparse DP, which
+the test suite verifies it against. At ``B = 1`` it is the scalar dense
+DP.
 """
 
 from __future__ import annotations
@@ -138,11 +138,10 @@ def confidence_dense_batch(
 ) -> list[float]:
     """``Pr(S_b -> [A^omega] -> output)`` for every stream ``b``, batched.
 
-    Semantically equal to calling
-    :func:`repro.confidence.dense.confidence_deterministic_dense` per
-    stream, but runs one ``(B, S) @ (B, S, S)`` contraction per timestep
-    instead of ``B`` python DPs. Requires a deterministic k-uniform
-    transducer and an equal-length corpus over one symbol order.
+    Semantically equal to calling it once per stream (``B = 1``), but
+    runs one ``(B, S) @ (B, S, S)`` contraction per timestep instead of
+    ``B`` separate DPs. Requires a deterministic k-uniform transducer and
+    an equal-length corpus over one symbol order.
     """
     if not transducer.is_deterministic():
         raise InvalidTransducerError("dense batch requires a deterministic transducer")

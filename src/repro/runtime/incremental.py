@@ -32,9 +32,11 @@ equal (over ``Fraction`` inputs, bit-for-bit) to a from-scratch
 ``evaluate`` of the grown stream.
 
 Either frontier is pushed through the plan's shrunk machine
-(``plan.execution``), so dead runs drop out instead of being carried;
-which representation is used is decided by the compiled machine
-(``plan.deterministic``), so persisted frontiers restore identically.
+(``plan.execution``) by the shared layer step of
+:mod:`repro.confidence.layered`, so dead runs drop out instead of being
+carried; which representation is used is decided by the compiled
+machine (``plan.deterministic``), so persisted frontiers restore
+identically.
 
 :meth:`checkpoint` / :meth:`rollback` snapshot and restore the frontier,
 which is how sliding windows re-anchor without replaying the stream.
@@ -46,6 +48,7 @@ import time
 from collections.abc import Hashable, Iterator, Mapping
 
 from repro import telemetry
+from repro.confidence.layered import Cell, step
 from repro.errors import ReproError
 from repro.markov.sequence import MarkovSequence, Number
 from repro.core.results import Answer, Order
@@ -120,20 +123,39 @@ class StreamingEvaluator:
 
     def _initial_frontier(self, sequence: MarkovSequence) -> dict:
         initial = self.plan.compiled.nfa.initial
+        start = (initial, ()) if self._deterministic else (frozenset({(initial, ())}),)
+        return self._step({(None, *start): 1}, {None: dict(sequence.initial_support())})[0]
+
+    def _step(self, layer: Mapping, rows: Mapping) -> tuple[dict, int]:
+        """One layer of the frontier DP and the cell updates it cost.
+
+        A deterministic cell ``(node, state, output)`` moves like the
+        Theorem 4.6 DP with the output left free, one update per move. A
+        nondeterministic cell ``(node, summary)`` moves its whole run
+        summary at once and costs one update per live run.
+        """
         moves = self.plan.execution.moves
-        frontier: dict = {}
+        cells = 0
         if self._deterministic:
-            for symbol, prob in sequence.initial_support():
-                for state, emission in moves(initial, symbol):
-                    key = (symbol, state, emission)
-                    frontier[key] = frontier.get(key, 0) + prob
+            def advance(cell: Cell, target: Symbol) -> Iterator[Cell]:
+                nonlocal cells
+                _symbol, state, output = cell
+                for target_state, emission in moves(state, target):
+                    cells += 1
+                    yield (target, target_state, output + emission)
         else:
-            for symbol, prob in sequence.initial_support():
-                summary = frozenset(moves(initial, symbol))
-                if summary:
-                    key = (symbol, summary)
-                    frontier[key] = frontier.get(key, 0) + prob
-        return frontier
+            def advance(cell: Cell, target: Symbol) -> Iterator[Cell]:
+                nonlocal cells
+                _symbol, summary = cell
+                cells += len(summary)
+                new_summary = frozenset(
+                    (target_state, output + emission)
+                    for state, output in summary
+                    for target_state, emission in moves(state, target)
+                )
+                if new_summary:
+                    yield (target, new_summary)
+        return step(layer, rows, advance), cells
 
     def _advance(self, i: int) -> None:
         """Push the frontier across transition ``i`` (paper indexing)."""
@@ -141,29 +163,7 @@ class StreamingEvaluator:
         # recorder() call and a None check is the whole disabled cost.
         recorder = telemetry.recorder()
         start = time.perf_counter() if recorder is not None else 0.0
-        moves = self.plan.execution.moves
-        sequence = self._sequence
-        nxt: dict = {}
-        cells = 0
-        if self._deterministic:
-            for (symbol, state, output), mass in self._frontier.items():
-                for target_symbol, prob in sequence.successors(i, symbol):
-                    for target_state, emission in moves(state, target_symbol):
-                        key = (target_symbol, target_state, output + emission)
-                        nxt[key] = nxt.get(key, 0) + mass * prob
-                        cells += 1
-        else:
-            for (symbol, summary), mass in self._frontier.items():
-                for target_symbol, prob in sequence.successors(i, symbol):
-                    new_summary = frozenset(
-                        (target_state, output + emission)
-                        for state, output in summary
-                        for target_state, emission in moves(state, target_symbol)
-                    )
-                    cells += len(summary)
-                    if new_summary:
-                        key = (target_symbol, new_summary)
-                        nxt[key] = nxt.get(key, 0) + mass * prob
+        nxt, cells = self._step(self._frontier, self._sequence.transition_rows(i))
         self._frontier = nxt
         self.plan.stats.record_append(cells)
         if recorder is not None:

@@ -16,16 +16,18 @@ A semiring here is a small object with ``zero``, ``one``, ``add`` and
 ``mul``. The real and Viterbi semirings are value-type agnostic: they work
 equally with ``float`` and with exact :class:`fractions.Fraction` entries,
 which is how the library offers exact rational arithmetic (the paper's
-convention, Section 3.2) without a parallel code path. The log semiring
-carries a ``lift`` that maps a probability into the semiring;
+convention, Section 3.2) without a parallel code path. Every other
+semiring carries a ``lift`` that maps a probability into its carrier;
 :meth:`Semiring.lift_sequence` applies it once per DP call, so the same
 recursion runs in log space for sequences whose world probabilities
-underflow IEEE doubles.
+underflow IEEE doubles, decides reachability in ``BOOLEAN`` and counts
+positive-probability worlds in ``COUNTING``.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Hashable, Iterable, Mapping, Sequence
 from fractions import Fraction
 from typing import TYPE_CHECKING, Any, Callable, Generic, TypeVar
@@ -60,7 +62,8 @@ class Semiring(Generic[T]):
         equality with ``zero``.
     lift:
         Optional map from a probability to a semiring value; ``None``
-        means probabilities are semiring values as they are.
+        means probabilities are semiring values as they are (``REAL``
+        and ``VITERBI``).
     """
 
     __slots__ = ("name", "zero", "one", "add", "mul", "_is_zero", "lift")
@@ -154,29 +157,34 @@ def _log_lift(prob: Any) -> float:
 
 
 #: Probability semiring: (R>=0, +, *, 0, 1). Works with float and Fraction.
-REAL: Semiring[Any] = Semiring("real", 0, 1, lambda a, b: a + b, lambda a, b: a * b)
+REAL: Semiring[Any] = Semiring("real", 0, 1, operator.add, operator.mul)
 
 #: Viterbi semiring: (R>=0, max, *, 0, 1). Used for E_max / I_max scores.
-VITERBI: Semiring[Any] = Semiring("viterbi", 0, 1, max, lambda a, b: a * b)
+VITERBI: Semiring[Any] = Semiring("viterbi", 0, 1, max, operator.mul)
 
 #: Log semiring: (R u {-inf}, logaddexp, +, -inf, 0). Float-only; lifts
 #: probabilities to natural logs.
 LOG: Semiring[float] = Semiring(
-    "log", -math.inf, 0.0, _log_add, lambda a, b: a + b, lift=_log_lift
+    "log", -math.inf, 0.0, _log_add, operator.add, lift=_log_lift
 )
 
 #: Tropical (max-plus) semiring in log space: Viterbi scores as log-probs.
 TROPICAL: Semiring[float] = Semiring(
-    "tropical", -math.inf, 0.0, max, lambda a, b: a + b
+    "tropical", -math.inf, 0.0, max, operator.add, lift=_log_lift
 )
 
-#: Boolean semiring: reachability / emptiness tests.
+#: Boolean semiring: reachability / emptiness tests; lifts a probability
+#: to whether it is positive.
 BOOLEAN: Semiring[bool] = Semiring(
-    "boolean", False, True, lambda a, b: a or b, lambda a, b: a and b
+    "boolean", False, True, lambda a, b: a or b, lambda a, b: a and b, lift=bool
 )
 
-#: Counting semiring over the naturals: number of accepting runs.
-COUNTING: Semiring[int] = Semiring("counting", 0, 1, lambda a, b: a + b, lambda a, b: a * b)
+#: Counting semiring over the naturals: number of accepting runs. Every
+#: positive probability lifts to one path, so a lifted DP counts the
+#: worlds (deterministic machine) or runs with positive probability.
+COUNTING: Semiring[int] = Semiring(
+    "counting", 0, 1, operator.add, operator.mul, lift=lambda prob: int(prob != 0)
+)
 
 
 ALL_SEMIRINGS: tuple[Semiring[Any], ...] = (REAL, VITERBI, LOG, TROPICAL, BOOLEAN, COUNTING)

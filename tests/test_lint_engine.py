@@ -174,7 +174,7 @@ def test_pretty_reporter_lists_and_summarizes():
 
 
 def test_package_relative_paths():
-    assert package_relative("src/repro/confidence/dense.py") == "confidence/dense.py"
+    assert package_relative("src/repro/confidence/layered.py") == "confidence/layered.py"
     assert package_relative("/abs/src/repro/core/engine.py") == "core/engine.py"
     assert package_relative("elsewhere/script.py") == "elsewhere/script.py"
 

@@ -25,7 +25,6 @@ def test_coverage_only_records_applicable_engines() -> None:
     instance = generate_instance("sprojector", seed=1)
     result = check_instance(instance)
     names = {name for _label, name in result.coverage}
-    assert "dense" not in names
     assert "vectorized" not in names
     assert "log-space" not in names
     assert result.engines_run == len(names)

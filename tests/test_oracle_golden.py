@@ -46,11 +46,11 @@ def test_hospital_is_a_deterministic_class_instance() -> None:
 def test_every_engine_agrees_on_the_hospital_example() -> None:
     result = check_instance(hospital_instance())
     assert result.ok, "\n".join(diff.describe() for diff in result.diffs)
-    # The non-uniform Figure 2 transducer keeps the dense fast paths out.
+    # The non-uniform Figure 2 transducer keeps the vectorized path out.
     names = {name for _label, name in result.coverage}
     assert "brute-force" in names and "runtime" in names and "pool" in names
     assert "log-space" in names
-    assert "dense" not in names and "vectorized" not in names
+    assert "vectorized" not in names
 
 
 @pytest.mark.parametrize("engine", EXACT_ENGINES, ids=lambda engine: engine.name)

@@ -10,10 +10,9 @@ from repro.oracle.registry import ENGINES, Prepared, VerifyContext, engine_matri
 ENGINE_NAMES = tuple(engine.name for engine in ENGINES)
 
 
-def test_registry_has_the_nine_engine_families() -> None:
+def test_registry_has_the_eight_engine_families() -> None:
     assert ENGINE_NAMES == (
         "brute-force",
-        "dense",
         "log-space",
         "fraction",
         "specialized",
@@ -33,7 +32,7 @@ def test_matrix_covers_every_cell() -> None:
 
 def test_dense_columns_serve_only_the_deterministic_row() -> None:
     matrix = engine_matrix()
-    for name in ("dense", "log-space", "vectorized"):
+    for name in ("log-space", "vectorized"):
         applicable = {label for label in CLASS_LABELS if matrix[(label, name)]}
         assert applicable == {"deterministic"}, name
 
@@ -46,13 +45,12 @@ def test_exact_engines_serve_every_class() -> None:
 
 def test_dense_applicability_needs_uniform_emission() -> None:
     # trial 0 generates the k-uniform deterministic variant, trial 1 the
-    # varied-emission one; the dense/vectorized predicate must split them.
+    # varied-emission one; the vectorized (dense batch) predicate must
+    # split them.
     uniform = Prepared(generate_instance("deterministic", seed=4, trial=0))
     varied = Prepared(generate_instance("deterministic", seed=4, trial=1))
     by_name = {engine.name: engine for engine in ENGINES}
-    assert by_name["dense"].applicable(uniform)
     assert by_name["vectorized"].applicable(uniform)
-    assert not by_name["dense"].applicable(varied)
     assert not by_name["vectorized"].applicable(varied)
     # log-space needs determinism only, not uniformity.
     assert by_name["log-space"].applicable(varied)

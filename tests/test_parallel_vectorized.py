@@ -1,20 +1,25 @@
 """The batched dense DP: one numpy contraction per step, many streams.
 
-Cross-checks :func:`confidence_dense_batch` against the scalar dense DP
-and the exact sparse DP stream-by-stream, and exercises the eligibility
-gate that keeps the float-only fast path away from exact corpora.
+Cross-checks :func:`confidence_dense_batch` against its own single-stream
+(``B = 1``) runs and the exact sparse DP stream-by-stream, pins the
+``B = 1`` scalar case on its own, and exercises the eligibility gate
+that keeps the float-only fast path away from exact corpora.
 """
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.automata.nfa import NFA
+from repro.confidence.brute_force import brute_force_answers
 from repro.errors import InvalidTransducerError, ReproError
-from repro.confidence.dense import confidence_deterministic_dense
 from repro.confidence.deterministic import confidence_deterministic
 from repro.examples_data.hospital import room_change_transducer
+from repro.markov.builders import uniform_iid
 from repro.parallel import (
     WorkerPool,
     confidence_dense_batch,
@@ -23,10 +28,10 @@ from repro.parallel import (
 )
 from repro.runtime.executor import run_evaluate
 from repro.runtime.plan import QueryPlan
-from repro.transducers.library import collapse_transducer
+from repro.transducers.library import collapse_transducer, identity_mealy
 from repro.transducers.transducer import Transducer
 
-from tests.conftest import make_fraction_sequence, make_sequence
+from tests.conftest import make_fraction_sequence, make_random_dfa, make_sequence
 
 ALPHABET = "ab"
 
@@ -55,10 +60,67 @@ def test_batch_matches_scalar_dense_and_exact() -> None:
     batched = confidence_dense_batch(streams, query, output)
     assert len(batched) == 16
     for sequence, value in zip(streams, batched):
-        scalar = confidence_deterministic_dense(sequence, query, output)
+        (scalar,) = confidence_dense_batch([sequence], query, output)
         exact = confidence_deterministic(sequence, query, output)
         assert value == pytest.approx(scalar, abs=1e-12)
         assert value == pytest.approx(float(exact), rel=1e-9, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# B = 1: the scalar dense DP
+# ---------------------------------------------------------------------------
+
+
+def _uniform_deterministic(rng: random.Random, k: int) -> Transducer:
+    dfa = make_random_dfa("ab", 3, rng)
+    omega = {
+        (state, symbol, target): tuple(rng.choice("xy") for _ in range(k))
+        for state, symbol, target in dfa.transitions()
+    }
+    return Transducer.from_dfa(dfa, omega)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 100_000), k=st.integers(1, 2))
+def test_single_stream_matches_exact_dp(seed: int, k: int) -> None:
+    rng = random.Random(seed)
+    sequence = make_sequence("ab", 4, rng)
+    transducer = _uniform_deterministic(rng, k)
+    for output in brute_force_answers(sequence, transducer):
+        exact = confidence_deterministic(sequence, transducer, output)
+        (value,) = confidence_dense_batch([sequence], transducer, output)
+        assert math.isclose(value, exact, abs_tol=1e-9), output
+
+
+def test_single_stream_zero_for_wrong_length() -> None:
+    sequence = uniform_iid("ab", 3)
+    assert confidence_dense_batch([sequence], _query(), ("X",)) == [0.0]
+
+
+def test_single_stream_identity_world_probability() -> None:
+    rng = random.Random(8)
+    sequence = make_sequence("ab", 5, rng)
+    world = sequence.sample(rng)
+    (value,) = confidence_dense_batch([sequence], identity_mealy("ab"), world)
+    assert math.isclose(value, sequence.prob_of(world), abs_tol=1e-12)
+
+
+def test_single_stream_rejects_nondeterministic_and_non_uniform() -> None:
+    sequence = uniform_iid("a", 2)
+    nondeterministic = Transducer(NFA("a", {0, 1}, 0, {0, 1}, {(0, "a"): {0, 1}}), {})
+    with pytest.raises(InvalidTransducerError):
+        confidence_dense_batch([sequence], nondeterministic, ())
+    mixed = Transducer(
+        NFA("ab", {0}, 0, {0}, {(0, "a"): {0}, (0, "b"): {0}}),
+        {(0, "a", 0): ("x", "y"), (0, "b", 0): ("x",)},
+    )
+    with pytest.raises(InvalidTransducerError):
+        confidence_dense_batch([uniform_iid("ab", 2)], mixed, ("x", "y"))
+    # A 2-uniform machine is fine.
+    two_uniform = Transducer(
+        NFA("a", {0}, 0, {0}, {(0, "a"): {0}}), {(0, "a", 0): ("x", "y")}
+    )
+    assert confidence_dense_batch([sequence], two_uniform, ("x", "y") * 2) == [1.0]
 
 
 def test_named_wrapper_preserves_corpus_keys() -> None:
@@ -91,8 +153,6 @@ def test_empty_batch_and_mismatched_lengths_raise() -> None:
 
 
 def test_nondeterministic_transducer_rejected() -> None:
-    from repro.automata.nfa import NFA
-
     nfa = NFA(
         ALPHABET,
         ["p", "q"],
@@ -133,7 +193,7 @@ def test_pool_auto_dispatch_uses_vectorized_path() -> None:
         assert pool.stats.tasks == 0  # no process fan-out needed
     for name, sequence in corpus.items():
         assert values[name] == pytest.approx(
-            confidence_deterministic_dense(sequence, _query(), output), abs=1e-12
+            confidence_dense_batch([sequence], _query(), output)[0], abs=1e-12
         )
 
 

@@ -85,3 +85,37 @@ def test_real_semiring_works_with_fractions_exactly() -> None:
     third = Fraction(1, 3)
     assert REAL.sum([third, third, third]) == 1
     assert REAL.product([third, Fraction(3, 1)]) == 1
+
+
+def test_lifted_semirings_agree_with_viterbi_real_and_world_counts() -> None:
+    """TROPICAL, BOOLEAN and COUNTING each lift probabilities into their
+    own carrier, so a lifted layered DP answers in that semiring: the
+    log of the Viterbi value, whether the real value is positive, and the
+    number of accepted worlds with positive probability."""
+    from repro.automata.regex import regex_to_dfa
+    from repro.confidence.language import language_probability
+    from repro.markov.sequence import MarkovSequence
+
+    sequence = MarkovSequence(
+        "ab",
+        {"a": Fraction(1, 4), "b": Fraction(3, 4)},
+        [
+            {"a": {"a": Fraction(1, 2), "b": Fraction(1, 2)}, "b": {"a": Fraction(1)}},
+            {"a": {"a": Fraction(1, 4), "b": Fraction(3, 4)}, "b": {"b": Fraction(1)}},
+        ],
+    )
+    dfa = regex_to_dfa(".*b", "ab")
+    best = language_probability(sequence, dfa, VITERBI)
+    assert best == Fraction(9, 16)  # b a b
+    assert language_probability(sequence, dfa, TROPICAL) == pytest.approx(
+        math.log(best), abs=1e-12
+    )
+    assert language_probability(sequence, dfa, BOOLEAN) is True
+    assert language_probability(sequence, dfa, REAL) > 0
+    accepted = [world for world, _prob in sequence.worlds() if dfa.accepts(world)]
+    assert language_probability(sequence, dfa, COUNTING) == len(accepted) == 3
+    never = regex_to_dfa("bb.*", "ab")  # S_2 = a whenever S_1 = b
+    assert language_probability(sequence, never, REAL) == 0
+    assert language_probability(sequence, never, BOOLEAN) is False
+    assert language_probability(sequence, never, COUNTING) == 0
+    assert language_probability(sequence, never, TROPICAL) == -math.inf

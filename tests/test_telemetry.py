@@ -15,9 +15,8 @@ from repro.confidence.brute_force import brute_force_answers
 from repro.errors import ReproError
 from repro.examples_data.hospital import hospital_sequence, room_change_transducer
 from repro.io.json_format import write_query, write_sequence
-from repro.oracle.differential import pick_probes
 from repro.oracle.generators import generate_instance
-from repro.oracle.registry import ENGINES, Prepared, VerifyContext
+from repro.oracle.registry import Prepared
 from repro.telemetry.metrics import Histogram, Registry
 
 
@@ -245,38 +244,38 @@ def test_render_snapshot_mentions_every_metric() -> None:
 # ---------------------------------------------------------------------------
 
 
-def test_disabled_dense_run_allocates_nothing_and_is_bit_identical() -> None:
-    # Trial 0 of the deterministic class is the k-uniform variant, so the
-    # dense engine applies (same convention the verify harness relies on).
-    instance = generate_instance("deterministic", seed=5, trial=0)
-    prepared = Prepared(instance)
-    dense = next(engine for engine in ENGINES if engine.name == "dense")
-    referee = next(engine for engine in ENGINES if engine.name == "brute-force")
-    assert dense.applicable(prepared)
+def test_disabled_streaming_append_allocates_nothing_and_is_bit_identical() -> None:
+    # The streaming evaluator's per-append DP layer is the instrumented
+    # hot loop: replay an exact instance one timestep at a time.
+    from repro.markov.sequence import MarkovSequence
+    from repro.runtime.incremental import StreamingEvaluator
 
-    reference = brute_force_answers(prepared.sequence_exact, instance.query)
-    answers = pick_probes(instance, reference, limit=2)
+    instance = generate_instance("deterministic", seed=6, trial=0)
+    sequence = Prepared(instance).sequence_exact
+    assert sequence.length >= 3
+    prefix = MarkovSequence(
+        sequence.symbols, dict(sequence.initial_support()), [sequence.transition_rows(1)]
+    )
+    steps = [sequence.transition_rows(i) for i in range(2, sequence.length)]
 
-    with VerifyContext() as context:
-        want = [referee.compute(prepared, answer, context) for answer in answers]
+    def run() -> list[dict]:
+        evaluator = StreamingEvaluator(instance.query, prefix)
+        return [evaluator.append(step) for step in steps]
 
-        base = telemetry.recorder_allocations()
-        disabled_values = [
-            dense.compute(prepared, answer, context) for answer in answers
-        ]
-        assert telemetry.recorder_allocations() == base, (
-            "disabled telemetry must not allocate recorder objects"
-        )
+    run()  # plan the query once, outside the measured runs
+    base = telemetry.recorder_allocations()
+    disabled_values = run()
+    assert telemetry.recorder_allocations() == base, (
+        "disabled telemetry must not allocate recorder objects"
+    )
 
-        telemetry.enable()
-        enabled_values = [
-            dense.compute(prepared, answer, context) for answer in answers
-        ]
-        telemetry.disable()
+    telemetry.enable()
+    enabled_values = run()
+    telemetry.disable()
 
     assert disabled_values == enabled_values, "telemetry must not perturb the DP"
-    for got, expected in zip(disabled_values, want):
-        assert dense.matches(got, expected, prepared.is_exact())
+    # Exact Fractions: the last append lands bit-for-bit on the referee.
+    assert disabled_values[-1] == brute_force_answers(sequence, instance.query)
 
 
 def test_enabled_streaming_run_matches_disabled() -> None:
