@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from collections.abc import Hashable, Sequence
 
-from repro.confidence.layered import Cell, forward
+from repro.confidence.layered import automaton_advance, forward
 from repro.errors import AlphabetMismatchError
 from repro.markov.sequence import MarkovSequence, Number
 from repro.semiring import REAL, Semiring
@@ -47,10 +47,7 @@ def forward_prefix_weights(
     B-state for ``j = 0`` is ``B``'s initial state.
     """
     prefix = projector.prefix
-
-    def advance(cell: Cell, target: Symbol) -> tuple[Cell]:
-        return ((target, prefix.step(cell[1], target)),)
-
+    advance = automaton_advance(prefix.step)
     return [{}, *forward(sequence, (prefix.initial,), advance, semiring)]
 
 

@@ -16,17 +16,15 @@ common case is far smaller.
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Sequence
+from collections.abc import Sequence
 
-from repro.confidence.layered import Cell, final_layer
+from repro.confidence.layered import automaton_advance, final_layer
 from repro.markov.sequence import MarkovSequence, Number
 from repro.semiring import REAL, Semiring
 from repro.automata.determinize import LazyDeterminizer
 from repro.automata.dfa import DFA
 from repro.automata.nfa import NFA
 from repro.errors import AlphabetMismatchError
-
-Symbol = Hashable
 
 
 def _check_alphabet(sequence: MarkovSequence, automaton: NFA | DFA) -> None:
@@ -66,10 +64,7 @@ def language_probability(
         is_accepting = lazy.is_accepting
 
     # DP cell: (last Markov node, automaton state).
-    def advance(cell: Cell, target: Symbol) -> tuple[Cell]:
-        return ((target, move(cell[1], target)),)
-
-    layer = final_layer(sequence, (initial_state,), advance, semiring)
+    layer = final_layer(sequence, (initial_state,), automaton_advance(move), semiring)
     return semiring.sum(
         mass for (_symbol, state), mass in layer.items() if is_accepting(state)
     )

@@ -40,6 +40,16 @@ Rows = Mapping[Hashable, Mapping[Hashable, Any]]
 Advance = Callable[[Cell, Hashable], Iterable[Cell]]
 
 
+def automaton_advance(move: Callable[[Any, Hashable], Any]) -> Advance:
+    """The advance of a product with an automaton: cell ``(node, state)``
+    steps to ``(target, move(state, target))``."""
+
+    def advance(cell: Cell, target: Hashable) -> tuple[Cell]:
+        return ((target, move(cell[1], target)),)
+
+    return advance
+
+
 def step(
     layer: Mapping[Cell, Any],
     rows: Rows,
@@ -80,7 +90,8 @@ def forward(
     """
     initial, transitions = semiring.lift_sequence(sequence)
     layer: Layer = {(None, *start): semiring.one}
-    for rows in ({None: initial}, *transitions):
+    virtual: Rows = {None: initial}
+    for rows in (virtual, *transitions):
         layer = step(layer, rows, advance, semiring)
         yield layer
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from collections.abc import Hashable, Mapping
 
-from repro.confidence.layered import Advance, Cell, final_layer, forward, step
+from repro.confidence.layered import automaton_advance, final_layer, forward, step
 from repro.markov.sequence import MarkovSequence, Number
 from repro.automata.determinize import determinize
 from repro.automata.dfa import DFA
@@ -56,17 +56,6 @@ def _check(sequence: MarkovSequence, automaton: DFA | NFA) -> None:
         )
 
 
-def _advance_through(dfa: DFA) -> Advance:
-    """The product-DP move: cell ``(node, state)`` steps ``dfa`` on the
-    next node."""
-    move = dfa.step
-
-    def advance(cell: Cell, target: Symbol) -> tuple[Cell]:
-        return ((target, move(cell[1], target)),)
-
-    return advance
-
-
 def prefix_acceptance_profile(sequence: MarkovSequence, dfa: DFA) -> list[Number]:
     """``profile[i-1] = Pr(S[1..i] in L(dfa))`` for ``i = 1..n``.
 
@@ -77,7 +66,7 @@ def prefix_acceptance_profile(sequence: MarkovSequence, dfa: DFA) -> list[Number
     accepting = dfa.accepting
     return [
         sum(mass for (_s, state), mass in layer.items() if state in accepting)
-        for layer in forward(sequence, (dfa.initial,), _advance_through(dfa))
+        for layer in forward(sequence, (dfa.initial,), automaton_advance(dfa.step))
     ]
 
 
@@ -132,7 +121,7 @@ class StreamingMonitor:
     def __init__(self, sequence: MarkovSequence, dfa: DFA) -> None:
         _check(sequence, dfa)
         self._dfa = dfa
-        self._advance = _advance_through(dfa)
+        self._advance = automaton_advance(dfa.step)
         self._length = sequence.length
         self._layer = final_layer(sequence, (dfa.initial,), self._advance)
 
@@ -156,7 +145,7 @@ class StreamingMonitor:
         """
         self = object.__new__(cls)
         self._dfa = dfa
-        self._advance = _advance_through(dfa)
+        self._advance = automaton_advance(dfa.step)
         self._layer = dict(layer)
         self._length = length
         return self
