@@ -15,7 +15,7 @@ transducer; we equivalently run the layered product DP over
     (position i, Markov node sigma, transducer state q, output progress j)
 
 with ``j`` tracking how much of ``w`` has been emitted (``j = |w| + 1``
-meaning "past the prefix, with an allowed next symbol"). Two queries on
+meaning "past the prefix, with an allowed next symbol"). Three queries on
 this graph power everything:
 
 * :func:`has_answer` — boolean reachability: does the constrained answer
@@ -24,13 +24,26 @@ this graph power everything:
   whose output satisfies the constraint, together with that output.
   (Theorem 4.3's constrained optimization: the answer it returns is the
   ``E_max``-best answer in the subspace.)
+* :func:`best_children` — the same Viterbi, run once per Lawler–Murty
+  pop: around the popped answer ``a`` the progress is either "matched
+  ``a[:m]``" or "diverged from ``a`` at ``p``", and the best accepting
+  cell of each ``p`` is the optimum of the child that differs from ``a``
+  at ``p``. One pass over about ``2|a|`` progress values answers every
+  child of :meth:`PrefixConstraint.partition_after`.
+
+Both Viterbi queries are one back-pointer pass (``_viterbi``) that only
+differs in how output progress advances and which answer set a final
+progress value belongs to.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from collections.abc import Hashable, Iterator, Sequence
+from collections.abc import Callable, Hashable, Iterator, Sequence
+from itertools import chain
+from typing import Any
 
+from repro import telemetry
 from repro.confidence.layered import Cell, Layer, forward
 from repro.errors import AlphabetMismatchError
 from repro.markov.sequence import MarkovSequence, Number
@@ -127,13 +140,15 @@ class PrefixConstraint:
             return True if self.exact else END not in self.forbidden
         return True
 
-    def partition_after(self, answer: tuple, alphabet: Sequence) -> list["PrefixConstraint"]:
+    def partition_after(self, answer: tuple) -> list["PrefixConstraint"]:
         """Lawler–Murty partition of this subspace minus ``answer``.
 
         Returns constraints that are pairwise disjoint and whose union is
-        exactly this constraint's answer set without ``answer``. (Children
-        are only *candidate* subspaces — callers test them for emptiness.)
-        ``alphabet`` is unused but kept for signature stability.
+        exactly this constraint's answer set without ``answer``: child
+        ``p - |prefix|`` agrees with ``answer`` on ``[0, p)`` and differs
+        at ``p``, for ``|prefix| <= p <= |answer|`` (the last child extends
+        ``answer``). Children are only *candidate* subspaces — callers
+        test them for emptiness.
         """
         if self.exact:
             return []
@@ -198,70 +213,145 @@ def best_evidence(
     probability over all pairs (world, accepting run) whose emitted output
     lies in the constraint's answer set — i.e. the returned output is the
     answer of maximal ``E_max`` in the subspace, and the returned world is
-    a witness attaining it. Returns None when the subspace is empty.
+    a witness attaining it. Returns None when the subspace is empty. This
+    is the one-group case of the pass behind :func:`best_children`.
     """
-    _check(sequence, transducer)
-    nfa = transducer.nfa
-    n = sequence.length
 
-    # Viterbi layer: key -> (score, parent_key, emission). Parents refer to
-    # the previous layer; layers are retained for backtracking.
-    Key = tuple  # (symbol, state, j)
-    layers: list[dict[Key, tuple[Number, Key | None, tuple]]] = []
-    layer: dict[Key, tuple[Number, Key | None, tuple]] = {}
-    for symbol, prob in sequence.initial_support():
-        for state, emission in transducer.moves(nfa.initial, symbol):
-            j = constraint.advance(0, emission)
-            if j is None:
-                continue
-            key = (symbol, state, j)
-            if key not in layer or prob > layer[key][0]:
-                layer[key] = (prob, None, emission)
-    layers.append(layer)
+    def group(j: int) -> int | None:
+        return 0 if constraint.final_ok(j) else None
 
-    for i in range(1, n):
-        nxt: dict[Key, tuple[Number, Key | None, tuple]] = {}
-        for key, (score, _parent, _emission) in layer.items():
-            symbol, state, j = key
-            for target, prob in sequence.successors(i, symbol):
-                weight = score * prob
-                for target_state, emission in transducer.moves(state, target):
-                    j2 = constraint.advance(j, emission)
-                    if j2 is None:
-                        continue
-                    new_key = (target, target_state, j2)
-                    if new_key not in nxt or weight > nxt[new_key][0]:
-                        nxt[new_key] = (weight, key, emission)
-        layer = nxt
-        layers.append(layer)
-        if not layer:
-            return None
+    return _viterbi(sequence, transducer, constraint.advance, group).get(0)
 
-    best_key: Key | None = None
-    best_score: Number = 0
-    for key, (score, _parent, _emission) in layer.items():
-        _symbol, state, j = key
-        if state in nfa.accepting and constraint.final_ok(j) and (
-            best_key is None or score > best_score
-        ):
-            best_key, best_score = key, score
-    if best_key is None:
+
+def best_children(
+    sequence: MarkovSequence,
+    transducer: Transducer,
+    constraint: PrefixConstraint,
+    answer: Sequence,
+) -> list[tuple[PrefixConstraint, tuple[Number, tuple, tuple]]]:
+    """Every non-empty child of ``constraint.partition_after(answer)``
+    with its best evidence, from one Viterbi pass.
+
+    ``answer`` must satisfy the constraint. Each child is "agree with
+    ``answer`` on ``[0, p)``, differ at ``p``" for ``|w| <= p <= |answer|``,
+    so one progress value per run says which child its output falls in:
+
+    * ``m >= 0`` — the output so far is ``answer[:m]``;
+    * ``-1 - p`` — the output left ``answer`` at position ``p``: its
+      symbol ``p`` differs from ``answer[p]`` (``answer`` had ended when
+      ``p = |answer|``) and, at ``p = |w|``, is not forbidden.
+
+    A run ending with ``m`` belongs to child ``m`` (the output is a
+    strict prefix of ``answer``, admitted when ``m > |w|`` or ``END`` is
+    allowed); one ending with ``-1 - p`` belongs to child ``p``. That is
+    about ``2|answer|`` progress values in one pass, where a pass per
+    child would sum to about ``|answer|^2 / 2``. The best accepting cell
+    of each group is that child's ``(probability, output, world)``; the
+    result lists the non-empty children in partition order.
+    """
+    if constraint.exact:
+        return []
+    answer = tuple(answer)
+    k, length = len(constraint.prefix), len(answer)
+    forbidden = constraint.forbidden
+    end_ok = END not in forbidden
+
+    def advance(j: int, emission: tuple) -> int | None:
+        for symbol in emission:
+            if j < 0:
+                return j
+            if j < length and symbol == answer[j]:
+                j += 1
+            elif j < k or (j == k and symbol in forbidden):
+                return None
+            else:
+                j = -1 - j
+        return j
+
+    def group(j: int) -> int | None:
+        if j < 0:
+            return -1 - j
+        if k < j < length or (j == k < length and end_ok):
+            return j
         return None
 
-    # Backtrack world and output.
-    world: list[Symbol] = []
-    output_parts: list[tuple] = []
-    key = best_key
-    for depth in range(n - 1, -1, -1):
-        score, parent, emission = layers[depth][key]
-        world.append(key[0])
-        output_parts.append(emission)
-        if parent is None:
-            break
-        key = parent
-    world.reverse()
-    output_parts.reverse()
-    output: tuple = ()
-    for part in output_parts:
-        output = output + part
-    return best_score, output, tuple(world)
+    found = _viterbi(sequence, transducer, advance, group)
+    children = constraint.partition_after(answer)
+    return [(children[p - k], found[p]) for p in range(k, length + 1) if p in found]
+
+
+def _viterbi(
+    sequence: MarkovSequence,
+    transducer: Transducer,
+    advance: Callable[[int, tuple], int | None],
+    group: Callable[[int], Hashable | None],
+) -> dict[Hashable, tuple[Number, tuple, tuple]]:
+    """Back-pointer Viterbi over ``(node sigma, transducer state q, progress j)``.
+
+    ``advance(j, emission)`` is the progress after an emission (None when
+    the run leaves every answer set of interest); ``group(j)`` names the
+    answer set an accepting run ending with progress ``j`` lies in (None:
+    none). Returns ``{group: (probability, output, world)}`` with the most
+    likely evidence of each non-empty group. Among equal scores the first
+    cell in layer order wins, so results are reproducible run to run.
+    """
+    _check(sequence, transducer)
+    telemetry.count("enumeration.viterbi.passes")
+    nfa = transducer.nfa
+    moves = transducer.moves
+    # (state, target node, progress) -> the surviving (state', emission,
+    # progress') moves; memoized per pass, as advance depends on nothing else.
+    edges: dict[tuple, tuple[tuple[Any, tuple, int], ...]] = {}
+
+    # Layer entries are cell -> (score, parent cell, emission); layer 0 is
+    # a virtual cell whose one row is the initial distribution.
+    Entry = tuple[Number, Cell | None, tuple]
+    layer: dict[Cell, Entry] = {(None, nfa.initial, 0): (1, None, ())}
+    layers: list[dict[Cell, Entry]] = []
+    virtual = {None: dict(sequence.initial_support())}
+    for rows in (virtual, *map(sequence.transition_rows, range(1, sequence.length))):
+        nxt: dict[Cell, Entry] = {}
+        for key, (score, _parent, _emission) in layer.items():
+            row = rows.get(key[0])
+            if row is None:
+                continue
+            _symbol, state, j = key
+            for target, prob in row.items():
+                edge = (state, target, j)
+                out = edges.get(edge)
+                if out is None:
+                    out = edges[edge] = tuple(
+                        (target_state, emission, j2)
+                        for target_state, emission in moves(state, target)
+                        if (j2 := advance(j, emission)) is not None
+                    )
+                weight = score * prob
+                for target_state, emission, j2 in out:
+                    new_key = (target, target_state, j2)
+                    current = nxt.get(new_key)
+                    if current is None or weight > current[0]:
+                        nxt[new_key] = (weight, key, emission)
+        if not nxt:
+            return {}
+        layers.append(nxt)
+        layer = nxt
+
+    best: dict[Hashable, tuple[Number, Cell]] = {}
+    for key, (score, _parent, _emission) in layer.items():
+        if key[1] not in nfa.accepting:
+            continue
+        name = group(key[2])
+        if name is not None and (name not in best or score > best[name][0]):
+            best[name] = (score, key)
+
+    found: dict[Hashable, tuple[Number, tuple, tuple]] = {}
+    for name, (score, key) in best.items():
+        world: list[Symbol] = []
+        emissions: list[tuple] = []
+        for depth in range(len(layers) - 1, -1, -1):
+            _score, parent, emission = layers[depth][key]
+            world.append(key[0])
+            emissions.append(emission)
+            key = parent
+        found[name] = (score, tuple(chain.from_iterable(reversed(emissions))), tuple(reversed(world)))
+    return found

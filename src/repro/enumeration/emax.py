@@ -7,10 +7,13 @@ order; the guaranteed approximation ratio is ``|Sigma|^n`` (each answer
 has at most ``|Sigma|^n`` evidences), which Theorem 4.4 shows is
 worst-case optimal up to the exponent's constant.
 
-The algorithm is Lawler–Murty over prefix constraints, with the
-constrained optimization solved by the Viterbi pass of
-:func:`~repro.enumeration.constraints.best_evidence` — polynomial delay;
-space grows with the number of answers printed, as the theorem warns.
+The algorithm is Lawler–Murty over prefix constraints. The seed is the
+Viterbi pass of :func:`~repro.enumeration.constraints.best_evidence`;
+after each pop, one pass of
+:func:`~repro.enumeration.constraints.best_children` answers every child
+of the popped constraint together — one Viterbi pass per answer, so
+polynomial delay; space grows with the number of answers printed, as the
+theorem warns.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from collections.abc import Iterator
 from repro.markov.sequence import MarkovSequence, Number
 from repro.transducers.sprojector import SProjector
 from repro.transducers.transducer import Transducer
-from repro.enumeration.constraints import PrefixConstraint, best_evidence
+from repro.enumeration.constraints import PrefixConstraint, best_children, best_evidence
 from repro.enumeration.lawler import lawler_enumerate
 
 
@@ -45,15 +48,15 @@ def enumerate_emax(
 
     def best(constraint: PrefixConstraint):
         found = best_evidence(sequence, transducer, constraint)
-        if found is None:
-            return None
-        score, output, _world = found
-        return score, output
+        return None if found is None else found[:2]
 
-    def partition(constraint: PrefixConstraint, answer: tuple):
-        return constraint.partition_after(answer, transducer.output_alphabet)
+    def children(constraint: PrefixConstraint, answer: tuple):
+        for child, (score, output, _world) in best_children(
+            sequence, transducer, constraint, answer
+        ):
+            yield child, (score, output)
 
-    yield from lawler_enumerate(PrefixConstraint.unconstrained(), best, partition)
+    yield from lawler_enumerate(PrefixConstraint.unconstrained(), best, children)
 
 
 def top_answer_emax(sequence: MarkovSequence, query) -> tuple[Number, tuple] | None:
@@ -66,7 +69,4 @@ def top_answer_emax(sequence: MarkovSequence, query) -> tuple[Number, tuple] | N
     """
     transducer = _as_transducer(query)
     found = best_evidence(sequence, transducer, PrefixConstraint.unconstrained())
-    if found is None:
-        return None
-    score, output, _world = found
-    return score, output
+    return None if found is None else found[:2]

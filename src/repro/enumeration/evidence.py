@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from repro.markov.sequence import MarkovSequence, Number
 from repro.transducers.transducer import Transducer
 from repro.enumeration.constraints import PrefixConstraint, _check
-from repro.enumeration.lawler import lawler_enumerate
+from repro.enumeration.lawler import each_part, lawler_enumerate
 
 Symbol = Hashable
 
@@ -136,7 +136,9 @@ def enumerate_evidences(
             children.append(_WorldSpace(world[:position], forbidden))
         return children
 
-    yield from lawler_enumerate(_WorldSpace((), frozenset()), best, partition)
+    yield from lawler_enumerate(
+        _WorldSpace((), frozenset()), best, each_part(best, partition)
+    )
 
 
 def explain(

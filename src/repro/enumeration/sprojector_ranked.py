@@ -32,7 +32,7 @@ from repro.enumeration.indexed_ranked import (
     decode_path,
     emitted_symbols,
 )
-from repro.enumeration.lawler import lawler_enumerate
+from repro.enumeration.lawler import each_part, lawler_enumerate
 from repro.enumeration.pathenum import WeightedDAG
 
 
@@ -57,10 +57,8 @@ def enumerate_sprojector_imax(
         output, _index = decode_path(labels)
         return weight, output
 
-    def partition(constraint: PrefixConstraint, answer: tuple):
-        return constraint.partition_after(answer, sequence.symbols)
-
-    for score, output in lawler_enumerate(PrefixConstraint.unconstrained(), best, partition):
+    children = each_part(best, PrefixConstraint.partition_after)
+    for score, output in lawler_enumerate(PrefixConstraint.unconstrained(), best, children):
         if with_confidence:
             yield score, output, confidence_sprojector(sequence, projector, output)
         else:

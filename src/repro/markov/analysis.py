@@ -52,7 +52,7 @@ def k_best_worlds(
     keeps subspaces disjoint. (The same engine that powers Theorem 4.3,
     instantiated on the identity query.)
     """
-    from repro.enumeration.lawler import lawler_enumerate
+    from repro.enumeration.lawler import each_part, lawler_enumerate
 
     def best(space: tuple[tuple[Symbol, ...], frozenset]):
         prefix, forbidden = space
@@ -106,7 +106,8 @@ def k_best_worlds(
         return children
 
     results: list[tuple[tuple[Symbol, ...], Number]] = []
-    for score, world in lawler_enumerate(((), frozenset()), best, partition):
+    children = each_part(best, partition)
+    for score, world in lawler_enumerate(((), frozenset()), best, children):
         results.append((world, score))
         if len(results) >= k:
             break

@@ -13,6 +13,7 @@ of an unchanged (or grown) stream reuse the cached DP frontier, and uses
 from __future__ import annotations
 
 import dataclasses
+import heapq
 from collections.abc import Iterator, Mapping
 
 from repro.errors import ReproError
@@ -317,54 +318,83 @@ def batch_top_k(
 ) -> list[tuple[str, Answer]]:
     """Globally best ``k`` answers across named sequences, one shared plan.
 
-    Runs the per-sequence ranked enumeration lazily ``k`` answers deep,
-    then merges — the standard top-k-over-partitions pattern of stream
-    warehouses. Answers without a score (unranked evaluation) sort after
-    all ranked answers, with a deterministic (name, rendered-output)
-    tiebreak, rather than masquerading as score 0.
+    The per-sequence ranked enumerations are merged lazily: each stream's
+    first answer enters a heap ordered by :func:`_merge_rank`, and a
+    stream is advanced only after its head has been popped, so a stream
+    whose answers never reach the top costs one answer. Answers without
+    a score (unranked evaluation) sort after all ranked answers, with a
+    deterministic (name, rendered-output) tiebreak, rather than
+    masquerading as score 0.
+
+    Tie rule: once the ``k``-th answer is popped, every head whose score
+    ties the ``k``-th score is popped too (and its stream advanced); the
+    popped answers are then sorted by :func:`_merge_rank` and cut at
+    ``k``. For ranked orders the result is therefore the first ``k`` of
+    *all* answers of all streams under :func:`_merge_rank`, whatever
+    order an enumeration emits its tied answers in. Unranked answers
+    never tie: their merge stops after ``k`` pops, taking the first
+    answers of the first streams by name.
 
     For deterministic-transducer plans (whose merge ranks do not depend
     on confidence) the per-answer Theorem 4.6 DP is deferred until after
     the merge and then run as *one shared-trie batch pass per surviving
     stream* (:func:`repro.confidence.batch.confidence_deterministic_batch`),
-    so at most ``k`` confidences are computed in total instead of ``k``
-    per stream. The answers, scores, order, and confidences are
+    so at most ``k`` confidences are computed in total instead of one
+    per popped answer. The answers, scores, order, and confidences are
     identical to the eager path — bit-for-bit over ``Fraction`` inputs.
     """
     plan = plan_for(plan, cache)
+    if k <= 0:
+        return []
     resolved = Order(order) if order is not None else plan.default_order
     defer_confidence = plan.kind is PlanKind.DETERMINISTIC and resolved in (
         Order.EMAX,
         Order.UNRANKED,
     )
-    candidates: list[tuple[str, Answer]] = []
-    for name, sequence in sequences.items():
-        evaluator = evaluators.get(name) if evaluators is not None else None
-        if defer_confidence and evaluator is None:
+    streams: list = []  # run_evaluate generators, closed in finally
+    heap: list[tuple] = []
+    popped: list[tuple[str, Answer]] = []
+    try:
+        for name, sequence in sequences.items():
+            evaluator = evaluators.get(name) if evaluators is not None else None
             answers = run_evaluate(
                 plan,
                 sequence,
                 order=resolved,
-                with_confidence=False,
-                limit=k,
-                allow_exponential=allow_exponential,
-            )
-        else:
-            answers = run_top_k(
-                plan,
-                sequence,
-                k,
-                order=resolved,
+                with_confidence=not (defer_confidence and evaluator is None),
                 allow_exponential=allow_exponential,
                 evaluator=evaluator,
             )
-        for answer in answers:
-            candidates.append((name, answer))
-    candidates.sort(key=_merge_rank)
-    top = candidates[:k]
+            streams.append(answers)
+            _push_head(heap, name, answers)
+        while heap and (len(popped) < k or _ties(heap[0][2], popped[k - 1][1])):
+            _rank, name, answer, answers = heapq.heappop(heap)
+            popped.append((name, answer))
+            _push_head(heap, name, answers)
+    finally:
+        for answers in streams:
+            answers.close()
+    popped.sort(key=_merge_rank)
+    top = popped[:k]
     if defer_confidence:
         top = _fill_deferred_confidences(plan, sequences, top)
     return top
+
+
+def _push_head(heap: list[tuple], name: str, answers: Iterator[Answer]) -> None:
+    """Pull the next answer of stream ``name`` (if any) into the merge heap.
+
+    The heap holds one head per stream and each rank includes its
+    stream's distinct name, so entries never compare past their rank.
+    """
+    answer = next(answers, None)
+    if answer is not None:
+        heapq.heappush(heap, (_merge_rank((name, answer)), name, answer, answers))
+
+
+def _ties(head: Answer, cut: Answer) -> bool:
+    """Does ``head`` tie the ``k``-th popped answer's score?"""
+    return cut.score is not None and head.score == cut.score
 
 
 def _fill_deferred_confidences(

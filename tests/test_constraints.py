@@ -1,4 +1,5 @@
-"""Prefix constraints and the layered product DP (has_answer / best_evidence)."""
+"""Prefix constraints and the layered product DP (has_answer / best_evidence /
+best_children)."""
 
 from __future__ import annotations
 
@@ -8,9 +9,21 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from repro.confidence.brute_force import brute_force_answers, brute_force_emax
-from repro.enumeration.constraints import END, PrefixConstraint, best_evidence, has_answer
+from repro.enumeration.constraints import (
+    END,
+    PrefixConstraint,
+    best_children,
+    best_evidence,
+    has_answer,
+)
+from repro.transducers.transducer import Transducer
 
-from tests.conftest import make_random_deterministic_transducer, make_sequence
+from tests.conftest import (
+    make_fraction_sequence,
+    make_random_deterministic_transducer,
+    make_random_nfa,
+    make_sequence,
+)
 
 
 def test_admits_semantics() -> None:
@@ -68,7 +81,7 @@ def test_partition_is_a_partition(data) -> None:
     if not admitted:
         return
     answer = data.draw(st.sampled_from(admitted))
-    children = constraint.partition_after(answer, alphabet)
+    children = constraint.partition_after(answer)
     for candidate in answer_pool:
         memberships = sum(1 for child in children if child.admits(candidate))
         if candidate == answer:
@@ -131,3 +144,82 @@ def test_best_evidence_respects_constraints(seed: int) -> None:
         score, output, _world = found
         assert output == answer
         assert math.isclose(score, emax[answer], abs_tol=1e-9)
+
+
+def _nondeterministic_transducer(rng: random.Random) -> Transducer:
+    """A random NFA transducer with emissions of length 0-2."""
+    nfa = make_random_nfa("ab", 3, rng, density=0.5)
+    omega = {
+        move: tuple(rng.choice("xy") for _ in range(rng.choice((0, 1, 1, 2))))
+        for move in nfa.transitions()
+    }
+    return Transducer(nfa, omega)
+
+
+def _lawler_walk(sequence, transducer, pops: int):
+    """The ``(constraint, answer)`` pairs of the first ``pops`` Lawler–Murty
+    pops, driven by per-child :func:`best_evidence` (the reference)."""
+    seed = best_evidence(sequence, transducer)
+    queue = [] if seed is None else [(seed[0], PrefixConstraint(), seed[1])]
+    popped = []
+    while queue and len(popped) < pops:
+        queue.sort(key=lambda item: item[0])
+        _score, constraint, answer = queue.pop()
+        popped.append((constraint, answer))
+        for child in constraint.partition_after(answer):
+            found = best_evidence(sequence, transducer, child)
+            if found is not None:
+                queue.append((found[0], child, found[1]))
+    return popped
+
+
+def _check_children(sequence, transducer, constraint, answer) -> None:
+    expected = []
+    for child in constraint.partition_after(answer):
+        found = best_evidence(sequence, transducer, child)
+        if found is not None:
+            expected.append((child, found[0]))
+    got = best_children(sequence, transducer, constraint, answer)
+    assert [(child, score) for child, (score, _o, _w) in got] == expected
+    for child, (score, output, world) in got:
+        assert child.admits(output)
+        assert output in transducer.transduce(world)
+        assert sequence.prob_of(world) == score
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 100_000),
+    length=st.integers(1, 4),
+    deterministic=st.booleans(),
+    pops=st.integers(1, 8),
+)
+def test_best_children_equals_best_evidence_per_child(
+    seed: int, length: int, deterministic: bool, pops: int
+) -> None:
+    """One pass answers every Lawler–Murty child exactly as a pass per
+    child does: the same non-empty children, bit-identical exact scores,
+    and outputs (with witness worlds) inside their child."""
+    rng = random.Random(seed)
+    sequence = make_fraction_sequence("ab", length, rng)
+    transducer = (
+        make_random_deterministic_transducer("ab", 3, rng)
+        if deterministic
+        else _nondeterministic_transducer(rng)
+    )
+    for constraint, answer in _lawler_walk(sequence, transducer, pops):
+        _check_children(sequence, transducer, constraint, answer)
+        exact = PrefixConstraint.exact_string(answer)
+        assert best_children(sequence, transducer, exact, answer) == []
+
+
+def test_best_children_covers_end_forbidden_constraints() -> None:
+    """A full walk reaches popped constraints that forbid END (the
+    "extends the answer" children) and checks them like the rest."""
+    rng = random.Random(3)
+    sequence = make_fraction_sequence("ab", 4, rng)
+    transducer = make_random_deterministic_transducer("ab", 3, rng)
+    walk = _lawler_walk(sequence, transducer, 64)
+    assert any(END in constraint.forbidden for constraint, _answer in walk)
+    for constraint, answer in walk:
+        _check_children(sequence, transducer, constraint, answer)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from repro.enumeration.lawler import lawler_enumerate
+from repro.enumeration.lawler import each_part, lawler_enumerate
 
 # Toy ranked-enumeration problem: enumerate all binary strings of length L
 # by score = product of per-position weights, using prefix subspaces.
@@ -41,8 +41,11 @@ def partition(prefix: str, answer: str):
     return children
 
 
+CHILDREN = each_part(best_in_prefix, partition)
+
+
 def test_enumerates_all_in_decreasing_score() -> None:
-    results = list(lawler_enumerate("", best_in_prefix, partition))
+    results = list(lawler_enumerate("", best_in_prefix, CHILDREN))
     produced = [answer for _s, answer in results]
     assert sorted(produced) == sorted(
         "".join(bits) for bits in itertools.product("01", repeat=LENGTH)
@@ -54,16 +57,19 @@ def test_enumerates_all_in_decreasing_score() -> None:
 
 
 def test_no_duplicates() -> None:
-    produced = [a for _s, a in lawler_enumerate("", best_in_prefix, partition)]
+    produced = [a for _s, a in lawler_enumerate("", best_in_prefix, CHILDREN)]
     assert len(produced) == len(set(produced))
 
 
 def test_empty_space() -> None:
-    assert list(lawler_enumerate("", lambda _s: None, partition)) == []
+    def nothing(_space):
+        return None
+
+    assert list(lawler_enumerate("", nothing, each_part(nothing, partition))) == []
 
 
 def test_prefix_lazy_top_k() -> None:
-    iterator = lawler_enumerate("", best_in_prefix, partition)
+    iterator = lawler_enumerate("", best_in_prefix, CHILDREN)
     top2 = [next(iterator) for _ in range(2)]
     all_scores = sorted(
         (score("".join(bits)) for bits in itertools.product("01", repeat=LENGTH)),
@@ -83,5 +89,5 @@ def test_ties_are_all_emitted() -> None:
     def split(space, answer):
         return [frozenset(space) - {answer}]
 
-    results = list(lawler_enumerate(frozenset({"x", "y"}), best, split))
+    results = list(lawler_enumerate(frozenset({"x", "y"}), best, each_part(best, split)))
     assert [a for _s, a in results] == ["x", "y"]

@@ -185,3 +185,59 @@ def test_batch_top_k_deferred_confidence_matches_eager(order) -> None:
     ]
     # Exact Fraction equality: the trie DP computes the same numbers.
     assert [a.confidence for _, a in merged] == [a.confidence for _, a in expected]
+
+
+def test_batch_top_k_tie_rule_cuts_all_answers_by_merge_rank() -> None:
+    """Ties at the k-th score are resolved over *every* tied answer, not
+    the first ones an enumeration happens to emit: the result is the full
+    ``enumerate_emax`` of every stream, sorted by ``_merge_rank``, cut at
+    ``k``. ``flat`` has 16 answers tied at the cut (more than ``k``), and
+    ``skew0``/``skew1`` are one stream under two names."""
+    from fractions import Fraction
+
+    from repro.core.results import Answer
+    from repro.enumeration.emax import enumerate_emax
+    from repro.markov.builders import uniform_iid
+    from repro.markov.sequence import MarkovSequence
+    from repro.runtime.executor import _merge_rank
+
+    half = Fraction(1, 2)
+    skew = MarkovSequence(
+        ("a", "b"),
+        {"a": Fraction(9, 10), "b": Fraction(1, 10)},
+        [{"a": {"a": Fraction(9, 10), "b": Fraction(1, 10)}, "b": {"a": half, "b": half}}],
+    )
+    streams = {"skew1": skew, "flat": uniform_iid("ab", 4, exact=True), "skew0": skew}
+    plan = QueryPlan.build(collapse())
+    k = 8
+    every = [
+        (name, Answer(output, None, score, Order.EMAX))
+        for name, sequence in streams.items()
+        for score, output in enumerate_emax(sequence, plan.execution)
+    ]
+    every.sort(key=_merge_rank)
+    cut = every[k - 1][1].score
+    assert sum(a.score == cut for n, a in every if n == "flat") > k
+
+    merged = batch_top_k(plan, streams, k, order="emax")
+    assert [(n, a.output, a.score) for n, a in merged] == [
+        (n, a.output, a.score) for n, a in every[:k]
+    ]
+    for name, answer in merged:
+        assert answer.confidence == plan_confidence(plan, streams[name], answer.output)
+
+
+def test_batch_top_k_pulls_one_viterbi_pass_per_popped_answer() -> None:
+    """Lazy merge + one-pass children: the fleet batch costs one seed
+    pass per stream plus one pass per popped answer."""
+    from benchmarks.bench_parallel import fleet_corpus
+    from repro import telemetry
+    from repro import room_change_transducer
+
+    corpus = fleet_corpus(8, 12)
+    plan = QueryPlan.build(room_change_transducer())
+    registry = telemetry.enable()
+    merged = batch_top_k(plan, corpus, 5, order="emax")
+    telemetry.disable()
+    assert len(merged) == 5
+    assert registry.snapshot()["counters"]["enumeration.viterbi.passes"] <= 8 + 5
