@@ -301,6 +301,8 @@ def _viterbi(
     moves = transducer.moves
     # (state, target node, progress) -> the surviving (state', emission,
     # progress') moves; memoized per pass, as advance depends on nothing else.
+    # The memo and this loop (rather than layered.forward) are measured in
+    # docs/ALGORITHMS.md, "One layered step".
     edges: dict[tuple, tuple[tuple[Any, tuple, int], ...]] = {}
 
     # Layer entries are cell -> (score, parent cell, emission); layer 0 is

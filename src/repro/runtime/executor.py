@@ -12,6 +12,7 @@ of an unchanged (or grown) stream reuse the cached DP frontier, and uses
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import heapq
 from collections.abc import Iterator, Mapping
@@ -326,14 +327,18 @@ def batch_top_k(
     deterministic (name, rendered-output) tiebreak, rather than
     masquerading as score 0.
 
-    Tie rule: once the ``k``-th answer is popped, every head whose score
-    ties the ``k``-th score is popped too (and its stream advanced); the
-    popped answers are then sorted by :func:`_merge_rank` and cut at
-    ``k``. For ranked orders the result is therefore the first ``k`` of
-    *all* answers of all streams under :func:`_merge_rank`, whatever
-    order an enumeration emits its tied answers in. Unranked answers
-    never tie: their merge stops after ``k`` pops, taking the first
-    answers of the first streams by name.
+    Each stream contributes at most its first ``k`` answers, in its
+    enumeration's own order, and the result is the first ``k`` of those
+    candidates under :func:`_merge_rank`: the same answers as merging
+    every stream's ``k``-deep enumeration. A stream's later answers
+    score no higher than its head and carry its name, so the merge stops
+    once the head's (score, name) sorts after the current ``k``-th
+    candidate's. Ties at the cut are resolved across streams by name and
+    rendered output; within one stream, which of its tied answers fall
+    in its first ``k`` is its enumeration's order. A read thus pops at
+    most ``k`` answers per stream, even from a stream with exponentially
+    many answers tied at the cut (a uniform stream under a per-symbol
+    query).
 
     For deterministic-transducer plans (whose merge ranks do not depend
     on confidence) the per-answer Theorem 4.6 DP is deferred until after
@@ -353,7 +358,7 @@ def batch_top_k(
     )
     streams: list = []  # run_evaluate generators, closed in finally
     heap: list[tuple] = []
-    popped: list[tuple[str, Answer]] = []
+    top: list[tuple[str, Answer]] = []  # best candidates so far, by rank
     try:
         for name, sequence in sequences.items():
             evaluator = evaluators.get(name) if evaluators is not None else None
@@ -366,35 +371,32 @@ def batch_top_k(
                 evaluator=evaluator,
             )
             streams.append(answers)
-            _push_head(heap, name, answers)
-        while heap and (len(popped) < k or _ties(heap[0][2], popped[k - 1][1])):
-            _rank, name, answer, answers = heapq.heappop(heap)
-            popped.append((name, answer))
-            _push_head(heap, name, answers)
+            _push_head(heap, name, answers, 1)
+        while heap and (len(top) < k or heap[0][0][:-1] <= _merge_rank(top[-1])[:-1]):
+            _rank, name, answer, answers, depth = heapq.heappop(heap)
+            bisect.insort(top, (name, answer), key=_merge_rank)
+            del top[k:]
+            if depth < k:
+                _push_head(heap, name, answers, depth + 1)
     finally:
         for answers in streams:
             answers.close()
-    popped.sort(key=_merge_rank)
-    top = popped[:k]
     if defer_confidence:
         top = _fill_deferred_confidences(plan, sequences, top)
     return top
 
 
-def _push_head(heap: list[tuple], name: str, answers: Iterator[Answer]) -> None:
-    """Pull the next answer of stream ``name`` (if any) into the merge heap.
+def _push_head(
+    heap: list[tuple], name: str, answers: Iterator[Answer], depth: int
+) -> None:
+    """Pull answer number ``depth`` of stream ``name`` (if any) into the heap.
 
     The heap holds one head per stream and each rank includes its
     stream's distinct name, so entries never compare past their rank.
     """
     answer = next(answers, None)
     if answer is not None:
-        heapq.heappush(heap, (_merge_rank((name, answer)), name, answer, answers))
-
-
-def _ties(head: Answer, cut: Answer) -> bool:
-    """Does ``head`` tie the ``k``-th popped answer's score?"""
-    return cut.score is not None and head.score == cut.score
+        heapq.heappush(heap, (_merge_rank((name, answer)), name, answer, answers, depth))
 
 
 def _fill_deferred_confidences(

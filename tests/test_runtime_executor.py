@@ -187,13 +187,15 @@ def test_batch_top_k_deferred_confidence_matches_eager(order) -> None:
     assert [a.confidence for _, a in merged] == [a.confidence for _, a in expected]
 
 
-def test_batch_top_k_tie_rule_cuts_all_answers_by_merge_rank() -> None:
-    """Ties at the k-th score are resolved over *every* tied answer, not
-    the first ones an enumeration happens to emit: the result is the full
-    ``enumerate_emax`` of every stream, sorted by ``_merge_rank``, cut at
-    ``k``. ``flat`` has 16 answers tied at the cut (more than ``k``), and
-    ``skew0``/``skew1`` are one stream under two names."""
+def test_batch_top_k_cuts_each_streams_first_k_by_merge_rank() -> None:
+    """Each stream offers its first ``k`` answers of ``enumerate_emax``;
+    the result is those candidates sorted by ``_merge_rank`` and cut at
+    ``k``, whatever order the lazy merge pops them in. ``flat`` has 16
+    answers tied at the cut (more than ``k``), so its cap decides which
+    of them compete, and ``skew0``/``skew1`` are one stream under two
+    names."""
     from fractions import Fraction
+    from itertools import islice
 
     from repro.core.results import Answer
     from repro.enumeration.emax import enumerate_emax
@@ -218,13 +220,37 @@ def test_batch_top_k_tie_rule_cuts_all_answers_by_merge_rank() -> None:
     every.sort(key=_merge_rank)
     cut = every[k - 1][1].score
     assert sum(a.score == cut for n, a in every if n == "flat") > k
+    candidates = [
+        (name, Answer(output, None, score, Order.EMAX))
+        for name, sequence in streams.items()
+        for score, output in islice(enumerate_emax(sequence, plan.execution), k)
+    ]
+    candidates.sort(key=_merge_rank)
 
     merged = batch_top_k(plan, streams, k, order="emax")
     assert [(n, a.output, a.score) for n, a in merged] == [
-        (n, a.output, a.score) for n, a in every[:k]
+        (n, a.output, a.score) for n, a in candidates[:k]
     ]
     for name, answer in merged:
         assert answer.confidence == plan_confidence(plan, streams[name], answer.output)
+
+
+def test_batch_top_k_pops_at_most_k_answers_per_stream_when_all_tie() -> None:
+    """A uniform stream under a per-symbol query has 2**30 answers, all
+    tied at ``E_max = 2**-30``. The read still costs ``k`` passes on the
+    stream whose name sorts first, and only the seed pass on its twin,
+    whose head sorts after the ``k``-th candidate."""
+    from repro import telemetry
+    from repro.markov.builders import uniform_iid
+    from repro.transducers.library import identity_mealy
+
+    uniform = uniform_iid(ALPHABET, 30, exact=True)
+    plan = QueryPlan.build(identity_mealy(ALPHABET))
+    with telemetry.session() as registry:
+        merged = batch_top_k(plan, {"u1": uniform, "u0": uniform}, 5, order="emax")
+        passes = registry.snapshot()["counters"]["enumeration.viterbi.passes"]
+    assert [name for name, _answer in merged] == ["u0"] * 5
+    assert passes == 5 + 1
 
 
 def test_batch_top_k_pulls_one_viterbi_pass_per_popped_answer() -> None:
@@ -236,8 +262,8 @@ def test_batch_top_k_pulls_one_viterbi_pass_per_popped_answer() -> None:
 
     corpus = fleet_corpus(8, 12)
     plan = QueryPlan.build(room_change_transducer())
-    registry = telemetry.enable()
-    merged = batch_top_k(plan, corpus, 5, order="emax")
-    telemetry.disable()
+    with telemetry.session() as registry:
+        merged = batch_top_k(plan, corpus, 5, order="emax")
+        passes = registry.snapshot()["counters"]["enumeration.viterbi.passes"]
     assert len(merged) == 5
-    assert registry.snapshot()["counters"]["enumeration.viterbi.passes"] <= 8 + 5
+    assert passes <= 8 + 5
