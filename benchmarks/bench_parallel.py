@@ -1,12 +1,10 @@
-"""Experiment P1: parallel batch execution over a stream corpus.
+"""Experiment P1: batch execution over a stream corpus.
 
 A Lahar-style fleet workload — one query, many tracked objects — run
-three ways over a corpus of hospital-derived float streams:
+over a corpus of hospital-derived float streams:
 
 * **serial**: :func:`repro.runtime.executor.batch_top_k`, one plan, one
-  core, stream after stream;
-* **pool**: the same batch through a :class:`repro.parallel.WorkerPool`
-  (process fan-out, deterministic merge — results bit-identical);
+  core, the streams' ranked enumerations merged lazily;
 * **vectorized**: same-plan confidence batching, where the per-stream
   loop of single-stream (``B = 1``) dense DPs is replaced by one
   ``(B, S) @ (B, S, S)`` contraction per timestep. Each stream's probability tensors are
@@ -17,31 +15,24 @@ three ways over a corpus of hospital-derived float streams:
 The vectorized path must be at least ``5x`` the scalar loop regardless
 of core count. Both sides run the same numpy DP, so the ratio credits
 batching alone (it removes per-stream python overhead, not just
-serializes less).
-The pool path can only beat serial when the machine actually has cores
-to fan out to, so its ``2x`` floor is asserted **only** when
-``default_worker_count() >= POOL_MIN_CORES``; the recorded baseline
-keeps the honest measurement plus the core count either way.
+serializes less). The serial ranked batch is recorded, with the usable
+core count, but not gated.
 
 Run as a script to (re)record the ``BENCH_parallel.json`` baseline::
 
-    PYTHONPATH=src:. python benchmarks/bench_parallel.py [--smoke] [--workers N]
+    PYTHONPATH=src:. python benchmarks/bench_parallel.py [--smoke]
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import random
 
 from repro.examples_data.hospital import LOCATIONS, hospital_sequence, room_change_transducer
 from repro.markov.sequence import MarkovSequence
 from repro.automata.nfa import NFA
-from repro.parallel import (
-    WorkerPool,
-    confidence_dense_batch,
-    default_worker_count,
-    dense_batch_eligible,
-)
+from repro.parallel import confidence_dense_batch, dense_batch_eligible
 from repro.runtime.executor import batch_top_k
 from repro.runtime.plan import QueryPlan
 from repro.transducers.transducer import Transducer
@@ -53,9 +44,6 @@ from benchmarks.shape import REPO_ROOT, bench_result, print_series, timed_best, 
 STREAMS = 64
 LENGTH = 32
 K = 5
-POOL_WORKERS = 4
-POOL_MIN_SPEEDUP = 2.0
-POOL_MIN_CORES = 4
 VECTORIZED_MIN_SPEEDUP = 5.0
 
 
@@ -104,32 +92,26 @@ def place_tracking_transducer() -> Transducer:
     return Transducer(nfa, omega)
 
 
-def measure(streams: int = STREAMS, length: int = LENGTH, workers: int = POOL_WORKERS) -> dict:
+def measure(streams: int = STREAMS, length: int = LENGTH) -> dict:
     corpus = fleet_corpus(streams, length)
 
-    # --- serial vs pool: ranked batch over the fleet -------------------
-    query = room_change_transducer()
-    plan = QueryPlan.build(query)
+    # --- serial ranked batch over the fleet -----------------------------
+    plan = QueryPlan.build(room_change_transducer())
+    serial_s = timed_best(lambda: batch_top_k(plan, corpus, K, order="emax"), repeats=3)
 
-    def serial_batch():
-        return batch_top_k(plan, corpus, K, order="emax")
+    return {
+        "streams": streams,
+        "length": length,
+        "k": K,
+        "cores": len(os.sched_getaffinity(0)),
+        "serial_topk_s": serial_s,
+        **measure_vectorized(corpus, length),
+    }
 
-    serial_answers = serial_batch()
-    serial_s = timed_best(serial_batch, repeats=3)
 
-    with WorkerPool(workers) as pool:
-        def pooled_batch():
-            return pool.batch_top_k(query, corpus, K, order="emax")
-
-        pooled_answers = pooled_batch()  # warm-up: spawns workers, plans once
-        pooled_s = timed_best(pooled_batch, repeats=3)
-        pool_stats = pool.stats.as_dict()
-
-    assert [(n, a.output, a.confidence, a.score) for n, a in pooled_answers] == [
-        (n, a.output, a.confidence, a.score) for n, a in serial_answers
-    ], "pool results must be bit-identical to serial"
-
-    # --- scalar loop vs vectorized: same-plan confidence batch ---------
+def measure_vectorized(corpus: dict[str, MarkovSequence], length: int) -> dict:
+    """The scalar-loop vs vectorized-batch comparison on one corpus (also
+    the regression harness's quick scenario)."""
     uniform_query = place_tracking_transducer()
     uniform_plan = QueryPlan.build(uniform_query)
     ordered = list(corpus.values())
@@ -153,102 +135,31 @@ def measure(streams: int = STREAMS, length: int = LENGTH, workers: int = POOL_WO
         abs(a - b) <= 1e-12 + 1e-9 * abs(a)
         for a, b in zip(scalar_values, vector_values)
     ), "vectorized confidences must match the per-stream (B = 1) DP"
-
-    scalar_s = timed_best(scalar_loop, repeats=3)
-    vectorized_s = timed_best(vectorized_batch, repeats=3)
-
-    cores = default_worker_count()
-    return {
-        "streams": streams,
-        "length": length,
-        "k": K,
-        "workers": workers,
-        "cores": cores,
-        "serial_topk_s": serial_s,
-        "pool_topk_s": pooled_s,
-        "pool_speedup": serial_s / pooled_s,
-        "pool_speedup_asserted": cores >= POOL_MIN_CORES,
-        "scalar_confidence_s": scalar_s,
-        "vectorized_confidence_s": vectorized_s,
-        "vectorized_speedup": scalar_s / vectorized_s,
-        "pool_stats": pool_stats,
-        "note": (
-            "pool_speedup is only asserted on machines with >= "
-            f"{POOL_MIN_CORES} usable cores; process fan-out cannot beat "
-            "serial execution without cores to fan out to."
-        ),
-    }
-
-
-def measure_vectorized(streams: int = STREAMS, length: int = LENGTH) -> dict:
-    """Just the scalar-loop vs vectorized-batch comparison (regression
-    harness's quick scenario — no process pool, a few seconds)."""
-    corpus = fleet_corpus(streams, length)
-    uniform_query = place_tracking_transducer()
-    uniform_plan = QueryPlan.build(uniform_query)
-    ordered = list(corpus.values())
-    assert dense_batch_eligible(uniform_plan, ordered)
-    output = ("λ",) * length
-
-    def scalar_loop():
-        return [
-            confidence_dense_batch([sequence], uniform_query, output)[0]
-            for sequence in ordered
-        ]
-
-    def vectorized_batch():
-        return confidence_dense_batch(ordered, uniform_query, output)
-
-    scalar_values = scalar_loop()
-    vector_values = vectorized_batch()
-    assert all(
-        abs(a - b) <= 1e-12 + 1e-9 * abs(a)
-        for a, b in zip(scalar_values, vector_values)
-    ), "vectorized confidences must match the per-stream (B = 1) DP"
     scalar_s = timed_best(scalar_loop, repeats=3)
     vectorized_s = timed_best(vectorized_batch, repeats=3)
     return {
-        "streams": streams,
-        "length": length,
         "scalar_confidence_s": scalar_s,
         "vectorized_confidence_s": vectorized_s,
         "vectorized_speedup": scalar_s / vectorized_s,
     }
 
 
-def common_result(
-    streams: int = STREAMS, length: int = LENGTH, workers: int = POOL_WORKERS
-) -> dict:
+def common_result(streams: int = STREAMS, length: int = LENGTH) -> dict:
     """One common-schema result, measured with telemetry enabled."""
     with telemetry.session() as registry:
-        results = measure(streams=streams, length=length, workers=workers)
+        results = measure(streams=streams, length=length)
         snapshot = registry.snapshot()
-    metrics = {
-        key: value
-        for key, value in results.items()
-        if isinstance(value, (int, float)) and not isinstance(value, bool)
-    }
-    params = {
-        "streams": streams,
-        "length": length,
-        "k": K,
-        "workers": workers,
-        "cores": results["cores"],
-        "pool_speedup_asserted": results["pool_speedup_asserted"],
-        "pool_stats": results["pool_stats"],
-        "note": results["note"],
-    }
-    return bench_result("parallel", params, metrics, telemetry_snapshot=snapshot)
+    params = {"streams": streams, "length": length, "k": K, "cores": results["cores"]}
+    return bench_result("parallel", params, results, telemetry_snapshot=snapshot)
 
 
 def report(results: dict) -> None:
     print_series(
-        f"Parallel batch (streams={results['streams']}, n={results['length']}, "
-        f"workers={results['workers']}, cores={results['cores']})",
+        f"Batch execution (streams={results['streams']}, n={results['length']}, "
+        f"cores={results['cores']})",
         ["path", "seconds", "speedup"],
         [
             ("serial batch_top_k", results["serial_topk_s"], 1.0),
-            ("worker pool", results["pool_topk_s"], results["pool_speedup"]),
             ("scalar confidence loop", results["scalar_confidence_s"], 1.0),
             ("vectorized confidence", results["vectorized_confidence_s"], results["vectorized_speedup"]),
         ],
@@ -257,19 +168,15 @@ def report(results: dict) -> None:
 
 def check(results: dict) -> None:
     assert results["vectorized_speedup"] >= VECTORIZED_MIN_SPEEDUP, results
-    if results["pool_speedup_asserted"]:
-        assert results["pool_speedup"] >= POOL_MIN_SPEEDUP, results
 
 
-def bench_parallel_fanout(benchmark) -> None:
+def bench_parallel_batch(benchmark) -> None:
     """Smoke-scale pytest-benchmark entry: correctness + representative op."""
-    results = measure(streams=8, length=12, workers=2)
+    results = measure(streams=8, length=12)
     report(results)
     corpus = fleet_corpus(8, 12)
-    query = room_change_transducer()
-    with WorkerPool(2) as pool:
-        pool.batch_top_k(query, corpus, K)  # warm-up
-        benchmark(lambda: pool.batch_top_k(query, corpus, K))
+    plan = QueryPlan.build(room_change_transducer())
+    benchmark(lambda: batch_top_k(plan, corpus, K))
 
 
 def main() -> None:
@@ -278,16 +185,14 @@ def main() -> None:
         "--smoke", action="store_true",
         help="tiny corpus, correctness only (no speedup floors, no baseline file)",
     )
-    parser.add_argument("--workers", type=int, default=POOL_WORKERS)
     args = parser.parse_args()
 
     if args.smoke:
-        results = measure(streams=8, length=12, workers=args.workers)
-        report(results)
+        report(measure(streams=8, length=12))
         print("\nsmoke run OK (speedup floors not asserted)")
         return
 
-    result = common_result(workers=args.workers)
+    result = common_result()
     combined = {**result["params"], **result["metrics"]}
     report(combined)
     check(combined)

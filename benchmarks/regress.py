@@ -160,10 +160,10 @@ def _run_parallel() -> dict:
 
 
 def _run_parallel_quick() -> dict:
-    from benchmarks.bench_parallel import measure_vectorized
+    from benchmarks.bench_parallel import fleet_corpus, measure_vectorized
     from benchmarks.shape import bench_result
 
-    results = measure_vectorized(streams=24, length=20)
+    results = measure_vectorized(fleet_corpus(24, 20), 20)
     return bench_result(
         "parallel",
         {"streams": 24, "length": 20, "quick": True},

@@ -46,15 +46,10 @@ from repro.runtime import (
     PlanKind,
     QueryPlan,
     StreamingEvaluator,
+    batch_confidence,
+    batch_top_k,
     default_plan_cache,
     plan_for,
-)
-from repro.parallel import (
-    PoolStats,
-    WorkerPool,
-    parallel_batch_confidence,
-    parallel_batch_top_k,
-    parallel_evaluate_many,
 )
 
 __version__ = "1.0.0"
@@ -88,11 +83,8 @@ __all__ = [
     "StreamingEvaluator",
     "default_plan_cache",
     "plan_for",
-    "PoolStats",
-    "WorkerPool",
-    "parallel_batch_confidence",
-    "parallel_batch_top_k",
-    "parallel_evaluate_many",
+    "batch_confidence",
+    "batch_top_k",
     "iid",
     "uniform_iid",
     "homogeneous",

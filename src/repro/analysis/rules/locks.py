@@ -1,6 +1,6 @@
 """RX04 — lock/race.
 
-PlanCache counters, pool bookkeeping, and the serve shard state are
+PlanCache counters and the serve shard state are
 mutated from multiple threads/tasks; an attribute that is guarded by a
 lock in one method and mutated bare in another is a race the tests will
 never reliably reproduce. Per class, this rule collects every
@@ -10,8 +10,8 @@ method call) and whether it happened inside a ``with self._lock`` /
 locked *and* one unlocked mutation site, the unlocked sites are flagged.
 ``__init__`` is exempt — construction happens-before sharing.
 
-Scope: ``runtime/``, ``parallel/``, ``serve/server.py``, and
-``telemetry/metrics.py`` (the registry shared across threads).
+Scope: ``runtime/``, ``serve/server.py``, and ``telemetry/metrics.py``
+(the registry shared across threads).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 from repro.analysis.rules.base import FileContext, Finding, Rule
 
-_SCOPE_PREFIXES = ("runtime/", "parallel/")
+_SCOPE_PREFIXES = ("runtime/",)
 _SCOPE_FILES = ("serve/server.py", "telemetry/metrics.py")
 
 _MUTATING_METHODS = {

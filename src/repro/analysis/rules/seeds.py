@@ -1,7 +1,7 @@
 """RX03 — seed-discipline.
 
 Determinism is load-bearing everywhere randomness appears: the FPRAS
-certificate, pool-merge bit-identity, the oracle shrinker's replayable
+certificate, ranked-merge bit-identity, the oracle shrinker's replayable
 corpus, and durable-mode seed journaling all assume every RNG is
 constructed from an explicit seed that flows from an argument or a
 derived (e.g. sha256) value. This rule flags:

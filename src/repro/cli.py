@@ -13,7 +13,7 @@ Usage (after ``pip install -e .``, as ``repro``; or ``python -m repro.cli``):
                      [--epsilon E --delta D --approx-seed N]
     repro plan      --query query.json [--sequence seq.json]
     repro batch     --query query.json --sequence a.json --sequence b.json
-                    [--corpus DIR] [-k K] [--workers N] [--answer 1,2]
+                    [--corpus DIR] [-k K] [--answer 1,2]
     repro verify    [--budget SECONDS] [--seed N] [--classes a,b]
                     [--corpus DIR] [--save-failures DIR] [--no-metamorphic]
     repro serve     --socket /tmp/repro.sock | --host 127.0.0.1 --port 7341
@@ -50,8 +50,8 @@ from repro.core.engine import (
 )
 from repro.io.json_format import read_query, read_sequence
 from repro.lahar.monitor import occurrence_profile
-from repro.parallel import WorkerPool
 from repro.runtime.cache import default_plan_cache
+from repro.runtime.executor import batch_confidence, batch_top_k
 from repro.transducers.sprojector import IndexedSProjector, SProjector
 from repro.transducers.transducer import Transducer
 from repro.viz.dot import sequence_to_dot, transducer_to_dot
@@ -293,29 +293,6 @@ def _collect_corpus(args) -> dict:
     return corpus
 
 
-def _print_pool_stats(stats: dict) -> None:
-    speedup = stats["speedup_estimate"]
-    print(
-        f"pool stats:  batches={stats['batches']} tasks={stats['tasks']} "
-        f"completed={stats['completed']} streams={stats['streams']} "
-        f"chunks={stats['chunks']}"
-    )
-    print(
-        f"             retries={stats['retries']} timeouts={stats['timeouts']} "
-        f"broken_pools={stats['broken_pools']} worker_errors={stats['worker_errors']} "
-        f"serial_fallbacks={stats['serial_fallbacks']} "
-        f"serial_batches={stats['serial_batches']} "
-        f"vectorized_batches={stats['vectorized_batches']}"
-    )
-    line = (
-        f"             wall={stats['wall_seconds'] * 1000:.2f} ms "
-        f"serial_estimate={stats['serial_estimate_seconds'] * 1000:.2f} ms"
-    )
-    if speedup is not None:
-        line += f" speedup_estimate={speedup:.2f}x"
-    print(line)
-
-
 def _cmd_batch(args) -> int:
     corpus = _collect_corpus(args)
     query = read_query(args.query)
@@ -335,39 +312,30 @@ def _cmd_batch(args) -> int:
             )
             print(f"{name}\t{_render_approx(estimate)}")
         return 0
-    vectorized = {"auto": "auto", "always": True, "never": False}[args.vectorized]
-    with WorkerPool(
-        args.workers,
-        chunk_size=args.chunk_size,
-        task_timeout=args.timeout,
-    ) as pool:
-        if args.answer is not None:
-            output = _parse_answer(args.answer)
-            confidences = pool.batch_confidence(
-                query,
-                corpus,
-                output,
-                allow_exponential=args.allow_exponential,
-                vectorized=vectorized,
-            )
-            for name, value in confidences.items():
-                print(f"{name}\t{float(value):.10g}")
-        else:
-            merged = pool.batch_top_k(
-                query,
-                corpus,
-                args.k,
-                order=args.order,
-                allow_exponential=args.allow_exponential,
-            )
-            for name, answer in merged:
-                fields = [name, answer.rendered()]
-                if answer.score is not None:
-                    fields.append(f"score={float(answer.score):.6g}")
-                if answer.confidence is not None:
-                    fields.append(f"confidence={float(answer.confidence):.6g}")
-                print("\t".join(fields))
-        _print_pool_stats(pool.stats.as_dict())
+    if args.answer is not None:
+        confidences = batch_confidence(
+            query,
+            corpus,
+            _parse_answer(args.answer),
+            allow_exponential=args.allow_exponential,
+        )
+        for name, value in confidences.items():
+            print(f"{name}\t{float(value):.10g}")
+        return 0
+    merged = batch_top_k(
+        query,
+        corpus,
+        args.k,
+        order=args.order,
+        allow_exponential=args.allow_exponential,
+    )
+    for name, answer in merged:
+        fields = [name, answer.rendered()]
+        if answer.score is not None:
+            fields.append(f"score={float(answer.score):.6g}")
+        if answer.confidence is not None:
+            fields.append(f"confidence={float(answer.confidence):.6g}")
+        print("\t".join(fields))
     return 0
 
 
@@ -375,8 +343,6 @@ def _cmd_verify(args) -> int:
     from repro.oracle.generators import CLASS_LABELS
     from repro.oracle.harness import verify
 
-    if args.workers is not None and args.workers < 1:
-        raise ReproError("--workers must be at least 1")
     classes = (
         tuple(label.strip() for label in args.classes.split(",") if label.strip())
         if args.classes
@@ -387,7 +353,6 @@ def _cmd_verify(args) -> int:
         budget=args.budget,
         max_rounds=args.max_rounds,
         classes=classes,
-        workers=args.workers if args.workers is not None else 1,
         corpus=args.corpus,
         save_failures=args.save_failures,
         metamorphic=not args.no_metamorphic,
@@ -714,7 +679,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     batch = sub.add_parser(
         "batch",
-        help="run one query across many streams (process pool / vectorized)",
+        help="run one query across many streams (ranked merge / vectorized)",
     )
     batch.add_argument("--query", required=True)
     batch.add_argument(
@@ -731,25 +696,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="ranked order (default: the plan's best order)",
     )
     batch.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker processes (default: usable CPUs; 1 = serial)",
-    )
-    batch.add_argument("--chunk-size", type=int, default=None)
-    batch.add_argument(
-        "--timeout", type=float, default=None, help="per-chunk timeout in seconds"
-    )
-    batch.add_argument(
         "--answer",
         default=None,
         help="batched confidence of this comma-separated answer instead of top-k",
-    )
-    batch.add_argument(
-        "--vectorized",
-        default="auto",
-        choices=["auto", "always", "never"],
-        help="dense same-plan batching for --answer (default: auto)",
     )
     batch.add_argument("--allow-exponential", action="store_true")
     _add_approx_flags(batch)
@@ -777,12 +726,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--classes",
         default=None,
         help="comma-separated Table-2 classes (default: all five)",
-    )
-    check.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="pool-engine worker processes (default: 1 = serial in-process)",
     )
     check.add_argument("--corpus", help="directory of oracle_case regression files")
     check.add_argument(
@@ -834,7 +777,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=None,
-        help="process-pool workers for cross-stream batch reads (default: in-process)",
+        help="threads running off-loop reads, bounding how many heavy reads run "
+        "at once (default: asyncio's default executor)",
     )
     serve.add_argument(
         "--max-seconds",

@@ -23,18 +23,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from collections.abc import Hashable, Iterable, Iterator, Mapping
-from typing import TYPE_CHECKING
 
 from repro.errors import ReproError
 from repro.markov.sequence import MarkovSequence, Number
 from repro.core.results import Answer, Order
 from repro.runtime.cache import PlanCache
-from repro.runtime.executor import batch_top_k, run_evaluate, run_top_k
+from repro.runtime.executor import batch_confidence, batch_top_k, run_evaluate, run_top_k
 from repro.runtime.incremental import StreamingEvaluator
 from repro.runtime.plan import QueryPlan
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (parallel -> runtime)
-    from repro.parallel import WorkerPool
 
 Symbol = Hashable
 
@@ -54,7 +50,7 @@ class MarkovStreamDatabase:
     ----------
     plan_cache:
         The :class:`PlanCache` all reads go through; a private cache is
-        created when None (pass a shared one to pool plans across
+        created when None (pass a shared one to share plans across
         databases).
     store:
         An optional :class:`repro.store.Store` journal. When attached,
@@ -330,8 +326,6 @@ class MarkovStreamDatabase:
         streams: Iterable[str] | None = None,
         order: Order | str | None = None,
         allow_exponential: bool = False,
-        workers: int | None = None,
-        pool: "WorkerPool | None" = None,
     ) -> list[StreamAnswer]:
         """Globally best ``k`` answers across streams, merged by score.
 
@@ -340,39 +334,17 @@ class MarkovStreamDatabase:
         standard top-k-over-partitions pattern of stream warehouses.
         Answers without a score sort after all ranked answers with a
         deterministic (stream, output) tiebreak.
-
-        ``workers > 1`` fans the streams out across a process pool
-        (:mod:`repro.parallel`) for this one call; ``pool`` reuses a
-        caller-held :class:`~repro.parallel.WorkerPool` instead (its
-        worker count wins). Results are identical to serial execution
-        in every mode.
         """
         names = list(streams) if streams is not None else self.streams()
         plan = self._plans.get(self._resolve_query(query))
         corpus = {name: self.stream(name) for name in names}
-        if pool is not None:
-            merged = pool.batch_top_k(
-                plan, corpus, k, order=order, allow_exponential=allow_exponential
-            )
-        elif workers is not None and workers > 1:
-            from repro.parallel import parallel_batch_top_k
-
-            merged = parallel_batch_top_k(
-                plan,
-                corpus,
-                k,
-                workers=workers,
-                order=order,
-                allow_exponential=allow_exponential,
-            )
-        else:
-            merged = batch_top_k(
-                plan,
-                corpus,
-                k,
-                order=order,
-                allow_exponential=allow_exponential,
-            )
+        merged = batch_top_k(
+            plan,
+            corpus,
+            k,
+            order=order,
+            allow_exponential=allow_exponential,
+        )
         return [StreamAnswer(name, answer) for name, answer in merged]
 
     def batch_confidence(
@@ -381,37 +353,18 @@ class MarkovStreamDatabase:
         output,
         streams: Iterable[str] | None = None,
         allow_exponential: bool = True,
-        workers: int | None = None,
-        pool: "WorkerPool | None" = None,
-        vectorized: bool | str = "auto",
     ) -> dict[str, Number]:
         """One output's confidence on every (selected) stream.
 
         The bulk-read twin of per-stream ``confidence``: one shared plan,
         and — when the plan is dense-eligible and the streams form an
         equal-length float stack — a single vectorized numpy DP for the
-        whole corpus (:mod:`repro.parallel.vectorized`). Otherwise the
-        per-stream Table-2 dispatch runs serially or, with ``workers > 1``
-        or a ``pool``, across worker processes.
+        whole corpus (:func:`repro.runtime.executor.batch_confidence`).
+        Otherwise the per-stream Table-2 dispatch runs serially.
         """
         names = list(streams) if streams is not None else self.streams()
         plan = self._plans.get(self._resolve_query(query))
         corpus = {name: self.stream(name) for name in names}
-        if pool is not None:
-            return pool.batch_confidence(
-                plan,
-                corpus,
-                output,
-                allow_exponential=allow_exponential,
-                vectorized=vectorized,
-            )
-        from repro.parallel import parallel_batch_confidence
-
-        return parallel_batch_confidence(
-            plan,
-            corpus,
-            output,
-            workers=workers if workers is not None else 1,
-            allow_exponential=allow_exponential,
-            vectorized=vectorized,
+        return batch_confidence(
+            plan, corpus, output, allow_exponential=allow_exponential
         )

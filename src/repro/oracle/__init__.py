@@ -3,7 +3,7 @@
 The repo computes the same answers in many ways: brute-force
 possible-world enumeration, the class-specialized confidence DPs, the
 log-space/exact-``Fraction`` variants, ``repro.runtime`` plan
-execution, and the ``repro.parallel`` pool and vectorized batch paths.
+execution, and the ``repro.parallel`` vectorized batch path.
 This package cross-checks all of them, matrix-shaped like the paper's
 Table 2 (transducer class × engine), in the spirit of randomized
 certification of counting procedures (Arenas et al.) and of validating
@@ -21,7 +21,7 @@ Dumas):
 * :mod:`repro.oracle.metamorphic` — semantics-preserving transforms
   (state/symbol relabeling, deterministic-prefix padding, the k-order
   reduction round-trip of footnote 3, real↔log semiring swap,
-  serial↔pooled↔vectorized execution) asserted invariant;
+  serial↔vectorized execution) asserted invariant;
 * :mod:`repro.oracle.shrinker` — greedy minimization of failing
   instances plus the ``tests/corpus/`` regression-case format;
 * :mod:`repro.oracle.harness` — the budgeted fuzz loop behind the

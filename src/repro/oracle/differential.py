@@ -171,38 +171,33 @@ def check_instance(
     probe_limit: int = 3,
 ) -> InstanceResult:
     """Run the full differential check on one instance."""
-    owned = context is None
     context = context if context is not None else VerifyContext()
     result = InstanceResult(instance=instance)
-    try:
-        prepared = Prepared(instance, cache=context.plan_cache)
-        instance_exact = prepared.is_exact()
-        reference = brute_force_answers(prepared.sequence_exact, instance.query)
+    prepared = Prepared(instance, cache=context.plan_cache)
+    instance_exact = prepared.is_exact()
+    reference = brute_force_answers(prepared.sequence_exact, instance.query)
 
-        _check_answer_set(prepared, reference, result)
-        _check_orders(prepared, result)
+    _check_answer_set(prepared, reference, result)
+    _check_orders(prepared, result)
 
-        probes = pick_probes(instance, reference, probe_limit)
-        for engine in engines:
-            if not engine.applicable(prepared):
-                continue
-            result.coverage.add((instance.label, engine.name))
-            result.engines_run += 1
-            for answer in probes:
-                want = reference.get(answer, 0)
-                got = engine.compute(prepared, answer, context)
-                result.probes += 1
-                if not engine.matches(got, want, instance_exact):
-                    result.diffs.append(
-                        Diff(
-                            instance=instance,
-                            engine=engine.name,
-                            answer=answer,
-                            got=got,
-                            want=want,
-                        )
+    probes = pick_probes(instance, reference, probe_limit)
+    for engine in engines:
+        if not engine.applicable(prepared):
+            continue
+        result.coverage.add((instance.label, engine.name))
+        result.engines_run += 1
+        for answer in probes:
+            want = reference.get(answer, 0)
+            got = engine.compute(prepared, answer, context)
+            result.probes += 1
+            if not engine.matches(got, want, instance_exact):
+                result.diffs.append(
+                    Diff(
+                        instance=instance,
+                        engine=engine.name,
+                        answer=answer,
+                        got=got,
+                        want=want,
                     )
-    finally:
-        if owned:
-            context.close()
+                )
     return result

@@ -138,7 +138,6 @@ def verify(
     budget: float | None = None,
     max_rounds: int | None = None,
     classes: tuple[str, ...] = CLASS_LABELS,
-    workers: int = 1,
     corpus: str | Path | None = None,
     corpus_cases: list[Instance] | None = None,
     save_failures: str | Path | None = None,
@@ -187,12 +186,13 @@ def verify(
     def fails(candidate: Instance) -> bool:
         return bool(check_instance(candidate, context, tuple(engines), probe_limit).diffs)
 
-    context_kwargs: dict = {"workers": workers}
+    context_kwargs: dict = {}
     if epsilon is not None:
         context_kwargs["epsilon"] = epsilon
     if delta is not None:
         context_kwargs["delta"] = delta
-    with VerifyContext(**context_kwargs) as context, telemetry.span("verify"):
+    context = VerifyContext(**context_kwargs)
+    with telemetry.span("verify"):
         for instance in replay:
             with telemetry.span("corpus_case"):
                 result = check_instance(instance, context, tuple(engines), probe_limit)

@@ -21,7 +21,7 @@ instance must agree:
 Three further relations compare *evaluation paths* rather than rewritten
 instances: :func:`check_semiring_swap` (the real vs log semiring run of
 the deterministic-transducer DP), :func:`check_execution_equivalence`
-(serial vs pooled vs vectorized execution of the same plan), and
+(serial vs batched and vectorized execution of the same plan), and
 :func:`check_shrink_swap` (the plan-time shrink pass on and off, both
 routes against the referee).
 """
@@ -45,7 +45,7 @@ from repro.oracle.generators import Instance, _classify
 from repro.oracle.registry import VerifyContext
 from repro.parallel.vectorized import dense_batch_eligible
 from repro.runtime.cache import plan_for
-from repro.runtime.executor import plan_confidence
+from repro.runtime.executor import batch_confidence, plan_confidence
 from repro.runtime.plan import QueryPlan
 from repro.semiring import LOG
 from repro.transducers.sprojector import IndexedSProjector, SProjector
@@ -402,51 +402,46 @@ def check_execution_equivalence(
     context: VerifyContext | None = None,
     probe_limit: int = 2,
 ) -> list[Diff]:
-    """Serial vs pooled vs vectorized execution of the same plan."""
-    owned = context is None
+    """Serial vs batched execution of the same plan.
+
+    :func:`batch_confidence` over two copies of the instance must match
+    serial :func:`plan_confidence`: bit-for-bit on the exact corpus
+    (which it runs per stream), and within float tolerance on the float
+    copy whenever the plan is dense-eligible (which it runs through the
+    vectorized DP).
+    """
     context = context if context is not None else VerifyContext()
     diffs: list[Diff] = []
-    try:
-        plan = plan_for(instance.query, context.plan_cache)
-        reference = brute_force_answers(instance.sequence, instance.query)
-        corpus = {"left": instance.sequence, "right": instance.sequence}
-        float_corpus = {name: seq.as_float() for name, seq in corpus.items()}
-        vector_ok = dense_batch_eligible(plan, list(float_corpus.values()))
-        for answer in pick_probes(instance, reference, probe_limit):
-            serial = plan_confidence(
-                plan, instance.sequence, answer, allow_exponential=True
+    plan = plan_for(instance.query, context.plan_cache)
+    reference = brute_force_answers(instance.sequence, instance.query)
+    corpus = {"left": instance.sequence, "right": instance.sequence}
+    float_corpus = {name: seq.as_float() for name, seq in corpus.items()}
+    vector_ok = dense_batch_eligible(plan, list(float_corpus.values()))
+    for answer in pick_probes(instance, reference, probe_limit):
+        serial = plan_confidence(plan, instance.sequence, answer, allow_exponential=True)
+        batched = batch_confidence(plan, corpus, answer)
+        routes = {"batch:left": batched["left"], "batch:right": batched["right"]}
+        if vector_ok:
+            vectorized = batch_confidence(plan, float_corpus, answer)
+            routes["vectorized:left"] = vectorized["left"]
+            routes["vectorized:right"] = vectorized["right"]
+        for route, got in routes.items():
+            exact_route = route.startswith("batch")
+            matches = (
+                got == serial
+                if exact_route and not isinstance(serial, float)
+                else math.isclose(float(got), float(serial), rel_tol=1e-9, abs_tol=1e-9)
             )
-            pooled = context.pool().batch_confidence(
-                instance.query, corpus, answer, vectorized=False
-            )
-            routes = {"pool:left": pooled["left"], "pool:right": pooled["right"]}
-            if vector_ok:
-                vectorized = context.pool().batch_confidence(
-                    instance.query, float_corpus, answer, vectorized=True
-                )
-                routes["vectorized:left"] = vectorized["left"]
-            for route, got in routes.items():
-                exact_route = route.startswith("pool")
-                matches = (
-                    got == serial
-                    if exact_route and not isinstance(serial, float)
-                    else math.isclose(
-                        float(got), float(serial), rel_tol=1e-9, abs_tol=1e-9
+            if not matches:
+                diffs.append(
+                    Diff(
+                        instance=instance,
+                        engine=f"metamorphic:execution[{route}]",
+                        answer=answer,
+                        got=got,
+                        want=serial,
                     )
                 )
-                if not matches:
-                    diffs.append(
-                        Diff(
-                            instance=instance,
-                            engine=f"metamorphic:execution[{route}]",
-                            answer=answer,
-                            got=got,
-                            want=serial,
-                        )
-                    )
-    finally:
-        if owned:
-            context.close()
     return diffs
 
 

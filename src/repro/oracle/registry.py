@@ -7,7 +7,7 @@ k-uniform emission), and knows how to compute ``conf(answer)`` on a prepared
 instance. The differential runner executes every applicable engine and
 diffs the results against the exact-``Fraction`` referee.
 
-The eight engine families of the harness matrix:
+The seven engine families of the harness matrix:
 
 ==================  =====================================================
 engine              implementation
@@ -17,7 +17,6 @@ log-space           the Theorem-4.6 DP in the ``LOG`` semiring
 fraction            class-specialized DP over exact ``Fraction`` streams
 specialized         class-specialized DP as Table 2 dispatches it
 runtime             :func:`repro.runtime.executor.plan_confidence`
-pool                :meth:`repro.parallel.WorkerPool.batch_confidence`
 vectorized          batched ``(B,S)@(B,S,S)`` numpy DP
 approx              FPRAS (ε, δ) estimator (:mod:`repro.approx.fpras`)
 ==================  =====================================================
@@ -51,7 +50,6 @@ from repro.confidence.indexed import confidence_indexed
 from repro.confidence.sprojector import confidence_sprojector
 from repro.confidence.uniform_subset import confidence_uniform
 from repro.oracle.generators import CLASS_LABELS, Instance
-from repro.parallel.pool import WorkerPool
 from repro.parallel.vectorized import confidence_dense_batch
 from repro.runtime.cache import PlanCache, plan_for
 from repro.runtime.executor import plan_confidence
@@ -105,9 +103,7 @@ class Prepared:
 class VerifyContext:
     """Per-run resources shared across engine invocations.
 
-    ``workers`` sizes the pool engine's :class:`WorkerPool` (1 keeps it
-    serial in-process — the same chunk-execution code path, no fan-out);
-    the plan cache is shared so the runtime engine exercises cache hits
+    The plan cache is shared so the runtime engine exercises cache hits
     the way production callers do.
 
     ``epsilon``/``delta``/``approx_max_samples`` parameterize the approx
@@ -117,28 +113,10 @@ class VerifyContext:
     gate stays flake-free without retry logic.
     """
 
-    workers: int = 1
     plan_cache: PlanCache = field(default_factory=PlanCache)
     epsilon: float = 0.25
     delta: float = 1e-9
     approx_max_samples: int = 25_000
-    _pool: WorkerPool | None = None
-
-    def pool(self) -> WorkerPool:
-        if self._pool is None:
-            self._pool = WorkerPool(self.workers, cache=self.plan_cache)
-        return self._pool
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
-
-    def __enter__(self) -> "VerifyContext":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
 
 @dataclass(frozen=True)
@@ -247,17 +225,6 @@ def _runtime(prepared: Prepared, answer, context: VerifyContext) -> Number:
     )
 
 
-def _pool(prepared: Prepared, answer, context: VerifyContext) -> Number:
-    values = context.pool().batch_confidence(
-        prepared.instance.query,
-        {"stream": prepared.sequence},
-        answer,
-        allow_exponential=True,
-        vectorized=False,
-    )
-    return values["stream"]
-
-
 def _approx_seed(prepared: Prepared, answer, context: VerifyContext) -> int:
     """A deterministic per-probe seed from the instance coordinates.
 
@@ -321,7 +288,6 @@ ENGINES: tuple[Engine, ...] = (
     Engine("fraction", _ALL, _fraction, exact=True),
     Engine("specialized", _ALL, _specialized_engine, exact=True),
     Engine("runtime", _ALL, _runtime, exact=True),
-    Engine("pool", _ALL, _pool, exact=True),
     Engine("vectorized", _DENSE_CLASSES, _vectorized, applies=_is_dense_eligible),
     # Applicable exactly where brute force is the only exact option:
     # general-class transducers (Table 2's FP^#P-complete cell).

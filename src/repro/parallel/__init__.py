@@ -1,128 +1,23 @@
-"""Parallel batch execution: process-pool fan-out + same-plan batching.
+"""Same-plan batching: one numpy forward DP over a stack of streams.
 
-The runtime (:mod:`repro.runtime`) made queries cheap to *re-run* —
-plan once, execute many times. This package makes them cheap to run
-*wide*: one :class:`~repro.runtime.plan.QueryPlan` against an entire
-corpus of Markov streams at once.
-
-* :mod:`repro.parallel.pool` — :class:`WorkerPool`: chunks a
-  ``{name: MarkovSequence}`` corpus across a
-  ``concurrent.futures.ProcessPoolExecutor``, shipping the query plus
-  its fingerprint (plans never pickle; workers re-plan into a
-  process-local cache), with per-task timeouts, bounded retry with
-  exponential backoff on worker crashes, and graceful fallback to
-  serial execution. Merged results are deterministically ordered,
-  identical to serial execution.
-* :mod:`repro.parallel.vectorized` — the same-plan batching fast path:
-  equal-length streams sharing a dense deterministic plan are stacked
-  into one numpy tensor and advanced by a single batched forward DP per
-  timestep.
-* :mod:`repro.parallel.chunking` / :mod:`repro.parallel.worker` — the
-  corpus partitioner and the (picklable) worker-side chunk runner.
-* Bookkeeping lands in :class:`~repro.runtime.stats.PoolStats`,
-  surfaced by the ``repro batch`` CLI subcommand.
-
-The module-level helpers below run one batch through an ephemeral pool —
-the convenient form for one-shot callers like
-:meth:`repro.lahar.database.MarkovStreamDatabase.top_k_across`; callers
-issuing many batches should hold a :class:`WorkerPool` open instead.
+:mod:`repro.parallel.vectorized` stacks equal-length float streams that
+share a dense deterministic plan into one tensor and advances them all
+with a single batched contraction per timestep.
+:func:`repro.runtime.executor.batch_confidence` takes this path whenever
+:func:`dense_batch_eligible` holds, and runs the per-stream Table-2
+dispatch otherwise.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-
-from repro.markov.sequence import MarkovSequence, Number
-from repro.core.results import Answer, Order
-from repro.parallel.chunking import auto_chunk_size, chunk_by_shard, chunk_corpus
-from repro.parallel.pool import WorkerPool, default_worker_count
 from repro.parallel.vectorized import (
     confidence_dense_batch,
     confidence_dense_batch_named,
     dense_batch_eligible,
 )
-from repro.parallel.worker import ChunkTask, execute_chunk, worker_plan_cache
-from repro.runtime.stats import PoolStats
 
 __all__ = [
-    "ChunkTask",
-    "PoolStats",
-    "WorkerPool",
-    "auto_chunk_size",
-    "chunk_by_shard",
-    "chunk_corpus",
     "confidence_dense_batch",
     "confidence_dense_batch_named",
-    "default_worker_count",
     "dense_batch_eligible",
-    "execute_chunk",
-    "parallel_batch_confidence",
-    "parallel_batch_top_k",
-    "parallel_evaluate_many",
-    "worker_plan_cache",
 ]
-
-
-def parallel_batch_top_k(
-    query,
-    sequences: Mapping[str, MarkovSequence],
-    k: int,
-    *,
-    workers: int | None = None,
-    order: Order | str | None = None,
-    allow_exponential: bool = False,
-    stats: PoolStats | None = None,
-    **pool_options,
-) -> list[tuple[str, Answer]]:
-    """One-shot pooled :func:`repro.runtime.executor.batch_top_k`.
-
-    Opens a :class:`WorkerPool` for the duration of the call; pass
-    ``stats`` to keep the pool's counters after it closes.
-    """
-    with WorkerPool(workers, **pool_options) as pool:
-        if stats is not None:
-            pool.stats = stats
-        return pool.batch_top_k(
-            query, sequences, k, order=order, allow_exponential=allow_exponential
-        )
-
-
-def parallel_evaluate_many(
-    query,
-    sequences: Mapping[str, MarkovSequence],
-    *,
-    workers: int | None = None,
-    stats: PoolStats | None = None,
-    pool_options: dict | None = None,
-    **evaluate_options,
-) -> dict[str, list[Answer]]:
-    """One-shot pooled per-stream evaluation over a corpus."""
-    with WorkerPool(workers, **(pool_options or {})) as pool:
-        if stats is not None:
-            pool.stats = stats
-        return pool.evaluate_many(query, sequences, **evaluate_options)
-
-
-def parallel_batch_confidence(
-    query,
-    sequences: Mapping[str, MarkovSequence],
-    output,
-    *,
-    workers: int | None = None,
-    allow_exponential: bool = True,
-    vectorized: bool | str = "auto",
-    stats: PoolStats | None = None,
-    **pool_options,
-) -> dict[str, Number]:
-    """One-shot confidence of ``output`` across a corpus (vectorized when
-    the plan and corpus allow; see :meth:`WorkerPool.batch_confidence`)."""
-    with WorkerPool(workers, **pool_options) as pool:
-        if stats is not None:
-            pool.stats = stats
-        return pool.batch_confidence(
-            query,
-            sequences,
-            output,
-            allow_exponential=allow_exponential,
-            vectorized=vectorized,
-        )

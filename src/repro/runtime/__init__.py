@@ -18,7 +18,7 @@ on the data (*execution*), so the former is paid once per query shape:
   timestep costs one DP layer instead of a from-scratch re-run, with
   checkpoint/rollback for sliding windows.
 * :mod:`repro.runtime.executor` — plan-based evaluation, including batch
-  evaluation that reuses one plan across many streams.
+  top-k and batch confidence, which reuse one plan across many streams.
 * :mod:`repro.runtime.stats` — per-plan timing and DP-cell counters.
 
 :func:`repro.core.evaluate` and the Lahar database are thin shells over
@@ -26,18 +26,18 @@ this package.
 """
 
 from repro.runtime.cache import PlanCache, default_plan_cache, plan_for
-from repro.runtime.executor import batch_top_k, run_evaluate, run_top_k
+from repro.runtime.executor import batch_confidence, batch_top_k, run_evaluate, run_top_k
 from repro.runtime.incremental import StreamingEvaluator
 from repro.runtime.plan import PlanKind, QueryPlan
-from repro.runtime.stats import PlanStats, PoolStats
+from repro.runtime.stats import PlanStats
 
 __all__ = [
     "PlanCache",
     "PlanKind",
     "PlanStats",
-    "PoolStats",
     "QueryPlan",
     "StreamingEvaluator",
+    "batch_confidence",
     "batch_top_k",
     "default_plan_cache",
     "plan_for",

@@ -46,19 +46,9 @@ class PlanCache:
         self.misses = 0
         self.evictions = 0
 
-    def get(
-        self,
-        query,
-        fingerprint_hint: str | None = None,
-    ) -> QueryPlan:
-        """The cached plan for ``query``'s shape, building it on a miss.
-
-        ``fingerprint_hint`` optionally supplies a fingerprint computed
-        elsewhere (e.g. shipped to a worker process alongside the query),
-        skipping the canonicalization hashing; it must be the value
-        :func:`repro.runtime.plan.fingerprint` would return.
-        """
-        key = fingerprint_hint if fingerprint_hint is not None else fingerprint(query)
+    def get(self, query) -> QueryPlan:
+        """The cached plan for ``query``'s shape, building it on a miss."""
+        key = fingerprint(query)
         with self._lock:
             plan = self._plans.get(key)
             if plan is not None:

@@ -7,7 +7,8 @@ per call. :func:`repro.core.evaluate` is a thin shell over
 :func:`run_evaluate`; the Lahar database additionally passes a live
 :class:`~repro.runtime.incremental.StreamingEvaluator` so repeated reads
 of an unchanged (or grown) stream reuse the cached DP frontier, and uses
-:func:`batch_top_k` to run one plan across many streams.
+:func:`batch_top_k` and :func:`batch_confidence` to run one plan across
+many streams.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from repro.enumeration.emax import enumerate_emax
 from repro.enumeration.indexed_ranked import enumerate_indexed_ranked
 from repro.enumeration.sprojector_ranked import enumerate_sprojector_imax
 from repro.enumeration.unranked import enumerate_unranked
+from repro.parallel.vectorized import confidence_dense_batch, dense_batch_eligible
 from repro.runtime.cache import PlanCache, plan_for
 from repro.runtime.incremental import StreamingEvaluator
 from repro.runtime.plan import PlanKind, QueryPlan
@@ -63,6 +65,31 @@ def plan_confidence(
         "FP^#P-complete (Theorem 4.9); pass allow_exponential=True to "
         "run the possible-world oracle"
     )
+
+
+def batch_confidence(
+    plan,
+    sequences: Mapping[str, MarkovSequence],
+    output,
+    allow_exponential: bool = True,
+) -> dict[str, Number]:
+    """One output's confidence on every stream of a named corpus.
+
+    When the plan and the corpus are dense-eligible (a deterministic
+    k-uniform plan over an equal-length float stack, see
+    :func:`repro.parallel.vectorized.dense_batch_eligible`), one batched
+    numpy DP answers every stream at once. Otherwise each stream runs
+    :func:`plan_confidence`, so exact ``Fraction`` corpora stay exact.
+    Keys follow the corpus's order.
+    """
+    plan = plan_for(plan)
+    streams = list(sequences.values())
+    if dense_batch_eligible(plan, streams):
+        return dict(zip(sequences, confidence_dense_batch(streams, plan.execution, output)))
+    return {
+        name: plan_confidence(plan, sequence, output, allow_exponential=allow_exponential)
+        for name, sequence in sequences.items()
+    }
 
 
 def plan_confidence_approx(

@@ -223,7 +223,7 @@ class QueryPlan:
         """Classify, minimize, compile, and shrink ``query`` into a plan.
 
         ``fingerprint_hint`` optionally supplies the structural
-        fingerprint when the caller already computed (or was shipped)
+        fingerprint when the caller already computed
         it; it must equal ``fingerprint(query)``. ``shrink=False`` skips
         the plan-time trim/push pass (the metamorphic ablation).
         """

@@ -2,7 +2,7 @@
 
 Every engine in this repo runs some DP over the compiled transducer, so
 work removed from the automaton *once at plan time* speeds up serial,
-pooled, vectorized, streaming and FPRAS execution together. Two
+vectorized, streaming and FPRAS execution together. Two
 passes, both exactly confidence-preserving:
 
 * **trim** — drop states that are unreachable from the initial state or

@@ -1,18 +1,15 @@
 """Execution counters for the runtime (surfaced through the CLI).
 
 Every :class:`~repro.runtime.plan.QueryPlan` carries a :class:`PlanStats`
-record; the executor and the streaming evaluator write into it. The
-:mod:`repro.parallel` worker pool carries a :class:`PoolStats` record for
-its fan-out bookkeeping (tasks, retries, timeouts, fallbacks, speedup
-estimate); both are surfaced by the CLI (``repro plan`` and ``repro
-batch``). The counters are deliberately cheap — a few integers and
-floats per event — so they stay on in production paths.
+record; the executor and the streaming evaluator write into it, and
+``repro plan`` surfaces it. The counters are deliberately cheap — a few
+integers and floats per event — so they stay on in production paths.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass
@@ -60,99 +57,6 @@ class PlanStats:
             "seconds": self.seconds,
             "dp_cells": self.dp_cells,
             "appends": self.appends,
-        }
-
-
-@dataclass
-class PoolStats:
-    """Mutable counters for one :class:`repro.parallel.WorkerPool`.
-
-    Attributes
-    ----------
-    batches:
-        Completed pool-level batch calls (``batch_top_k`` etc.).
-    tasks:
-        Chunk tasks submitted to worker processes.
-    completed:
-        Chunk tasks that returned a result from a worker.
-    streams:
-        Streams processed across all batches (any path).
-    retries:
-        Chunk re-submissions after a worker error or pool breakage.
-    timeouts:
-        Chunk waits that exceeded the per-task timeout.
-    broken_pools:
-        ``BrokenProcessPool`` events (the executor was re-created).
-    worker_errors:
-        Exceptions raised inside workers and re-raised by futures.
-    serial_fallbacks:
-        Chunks ultimately computed serially in the parent (retry budget
-        exhausted, timeout, or the pool being unavailable).
-    serial_batches:
-        Whole batches that ran serially (``workers <= 1`` or too few
-        streams to be worth shipping).
-    vectorized_batches:
-        Batches answered by the dense same-plan numpy fast path.
-    chunk_seconds:
-        Per-chunk wall-clock compute time, as reported by whoever ran
-        the chunk (worker process or parent fallback).
-    wall_seconds:
-        Parent-side wall-clock time across batch calls.
-    serial_estimate_seconds:
-        Sum of per-chunk compute times — an estimate of what the same
-        work would cost on one core.
-    """
-
-    batches: int = 0
-    tasks: int = 0
-    completed: int = 0
-    streams: int = 0
-    retries: int = 0
-    timeouts: int = 0
-    broken_pools: int = 0
-    worker_errors: int = 0
-    serial_fallbacks: int = 0
-    serial_batches: int = 0
-    vectorized_batches: int = 0
-    chunk_seconds: list[float] = field(default_factory=list)
-    wall_seconds: float = 0.0
-    serial_estimate_seconds: float = 0.0
-
-    def record_chunk(self, seconds: float, streams: int) -> None:
-        """Account one executed chunk (worker- or parent-side)."""
-        self.chunk_seconds.append(seconds)
-        self.serial_estimate_seconds += seconds
-        self.streams += streams
-
-    def record_batch(self, wall_seconds: float) -> None:
-        """Account one completed batch call."""
-        self.batches += 1
-        self.wall_seconds += wall_seconds
-
-    def speedup_estimate(self) -> float | None:
-        """Estimated speedup vs. one-core execution (None before data)."""
-        if self.wall_seconds <= 0 or self.serial_estimate_seconds <= 0:
-            return None
-        return self.serial_estimate_seconds / self.wall_seconds
-
-    def as_dict(self) -> dict:
-        """A plain-dict snapshot (for the CLI and benchmarks)."""
-        return {
-            "batches": self.batches,
-            "tasks": self.tasks,
-            "completed": self.completed,
-            "streams": self.streams,
-            "retries": self.retries,
-            "timeouts": self.timeouts,
-            "broken_pools": self.broken_pools,
-            "worker_errors": self.worker_errors,
-            "serial_fallbacks": self.serial_fallbacks,
-            "serial_batches": self.serial_batches,
-            "vectorized_batches": self.vectorized_batches,
-            "chunks": len(self.chunk_seconds),
-            "wall_seconds": self.wall_seconds,
-            "serial_estimate_seconds": self.serial_estimate_seconds,
-            "speedup_estimate": self.speedup_estimate(),
         }
 
 

@@ -16,9 +16,9 @@ bounded outbound queue + writer task) per connection. Writes to a stream
 serialize on its *shard lock*, so appends to streams on different shards
 interleave freely while a stream's evaluator state stays
 single-writer. Cross-stream batch reads snapshot the (immutable)
-sequences and run in a worker thread — heavy reads never stall appends —
-optionally fanning out across a :class:`~repro.parallel.WorkerPool` with
-the corpus pre-chunked one chunk per shard.
+sequences and run on the loop's default executor (``asyncio.to_thread``),
+so heavy reads never stall appends; ``pool_workers`` sizes that executor
+and so bounds how many heavy reads run at once.
 
 Shutdown is graceful: the listener closes first, then every session's
 outbound queue is drained (subscribers receive everything already
@@ -46,6 +46,7 @@ import asyncio
 import hashlib
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 from repro import telemetry
 from repro.core.engine import approximate_confidence, compute_confidence
@@ -138,8 +139,8 @@ class ReproServer:
     queue_size:
         Outbound frame bound per connection (backpressure knob).
     pool_workers:
-        When ``> 1``, cross-stream batch reads fan out across a
-        :class:`~repro.parallel.WorkerPool` of this many processes.
+        When ``>= 1``, the threads of the event loop's default executor,
+        which runs every off-loop read; ``0`` keeps asyncio's default.
     drain_timeout:
         Seconds granted to each session's queue drain during shutdown.
     data_dir:
@@ -183,7 +184,6 @@ class ReproServer:
         self._servers: list[asyncio.base_events.Server] = []
         self._closed = asyncio.Event()
         self._shutting_down = False
-        self._pool = None
         self.address: dict | None = None
         self._commands = {
             "ping": self._cmd_ping,
@@ -291,6 +291,10 @@ class ReproServer:
         port: int = 0,
     ) -> dict:
         """Bind the listener; returns the bound address description."""
+        if self.pool_workers >= 1 and not self._servers:  # first listener only
+            asyncio.get_running_loop().set_default_executor(
+                ThreadPoolExecutor(self.pool_workers, thread_name_prefix="repro-read")
+            )
         if socket_path is not None:
             server = await asyncio.start_unix_server(
                 self._handle_connection, path=socket_path
@@ -310,7 +314,7 @@ class ReproServer:
         await self._closed.wait()
 
     async def shutdown(self) -> None:
-        """Stop accepting, drain every session, release the pool."""
+        """Stop accepting, then drain every session."""
         if self._shutting_down:
             await self._closed.wait()
             return
@@ -329,9 +333,6 @@ class ReproServer:
                 pass
         telemetry.observe("serve.drain.seconds", time.perf_counter() - drain_start)
         self.sessions.clear()
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
         if self.store is not None:
             # Tail-loss guard: every append path runs under a shard
             # lock, so holding all of them here means the last in-flight
@@ -345,13 +346,6 @@ class ReproServer:
                 for lock in reversed(self._locks):
                     lock.release()
         self._closed.set()
-
-    def _ensure_pool(self):
-        if self.pool_workers > 1 and self._pool is None:
-            from repro.parallel import WorkerPool
-
-            self._pool = WorkerPool(self.pool_workers, cache=self.db.plan_cache)
-        return self._pool
 
     # ------------------------------------------------------------------
     # Connection handling
@@ -772,7 +766,6 @@ class ReproServer:
         streams = params.get("streams")
         order = params.get("order")
         allow_exponential = bool(params.get("allow_exponential", False))
-        pool = self._ensure_pool()
         # The corpus snapshot is immutable, so the merge can run off the
         # event loop: heavy cross-stream reads never stall appends.
         merged = await asyncio.to_thread(
@@ -782,7 +775,6 @@ class ReproServer:
             streams=streams,
             order=order,
             allow_exponential=allow_exponential,
-            pool=pool,
         )
         return {
             "answers": [

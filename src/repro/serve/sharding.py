@@ -8,16 +8,10 @@ All shards share one :class:`~repro.runtime.cache.PlanCache`, so a
 query shape is planned once for the whole service no matter how many
 shards its streams land on.
 
-Sharding buys two things:
-
-* **Append independence** — appends to streams on different shards
-  never contend on the same database (the server holds one lock per
-  shard, not one global lock).
-* **Stable fan-out routing** — cross-stream batch reads group the
-  corpus one chunk per shard (:func:`repro.parallel.chunking.chunk_by_shard`)
-  before entering the :class:`~repro.parallel.WorkerPool`, so a stream's
-  work always travels with its shard-mates and the pool's worker-local
-  plan caches (keyed by the shipped fingerprints) stay hot.
+Sharding buys **append independence**: appends to streams on
+different shards never contend on the same database (the server holds
+one lock per shard, not one global lock). Cross-stream reads snapshot
+the corpus across every shard and run one plan over it.
 """
 
 from __future__ import annotations
@@ -28,8 +22,8 @@ from collections.abc import Iterable, Mapping
 from repro.errors import ReproError
 from repro.lahar.database import MarkovStreamDatabase, StreamAnswer
 from repro.markov.sequence import MarkovSequence, Number
-from repro.parallel.chunking import chunk_by_shard
 from repro.runtime.cache import PlanCache
+from repro.runtime.executor import batch_confidence, batch_top_k
 from repro.runtime.incremental import StreamingEvaluator
 
 
@@ -166,10 +160,11 @@ class ShardedDatabase:
     def shard_chunks(
         self, names: Iterable[str] | None = None
     ) -> list[tuple[tuple[str, MarkovSequence], ...]]:
-        """The corpus partitioned one chunk per shard, for pool routing."""
-        return chunk_by_shard(
-            self.corpus(names), self.shard_index, len(self._shards)
-        )
+        """The (selected) corpus grouped one chunk per non-empty shard."""
+        groups: list[list[tuple[str, MarkovSequence]]] = [[] for _ in self._shards]
+        for name, sequence in self.corpus(names).items():
+            groups[self.shard_index(name)].append((name, sequence))
+        return [tuple(group) for group in groups if group]
 
     def top_k_across(
         self,
@@ -178,31 +173,15 @@ class ShardedDatabase:
         streams: Iterable[str] | None = None,
         order=None,
         allow_exponential: bool = False,
-        pool=None,
     ) -> list[StreamAnswer]:
-        """Globally best ``k`` answers across shards, merged by score.
-
-        With a :class:`~repro.parallel.WorkerPool`, the corpus enters the
-        pool pre-chunked by shard; without one, the merge runs serially
-        in-process. Results are identical either way.
-        """
-        corpus = self.corpus(streams)
-        resolved = self.resolve_query(query)
-        if pool is not None and len(corpus) > 1:
-            merged = pool.batch_top_k(
-                resolved,
-                corpus,
-                k,
-                order=order,
-                allow_exponential=allow_exponential,
-                chunks=chunk_by_shard(corpus, self.shard_index, len(self._shards)),
-            )
-            return [StreamAnswer(name, answer) for name, answer in merged]
-        from repro.runtime.executor import batch_top_k
-
-        plan = self.plan_cache.get(resolved)
+        """Globally best ``k`` answers across shards, merged by score."""
+        plan = self.plan_cache.get(self.resolve_query(query))
         merged = batch_top_k(
-            plan, corpus, k, order=order, allow_exponential=allow_exponential
+            plan,
+            self.corpus(streams),
+            k,
+            order=order,
+            allow_exponential=allow_exponential,
         )
         return [StreamAnswer(name, answer) for name, answer in merged]
 
@@ -212,28 +191,12 @@ class ShardedDatabase:
         output,
         streams: Iterable[str] | None = None,
         allow_exponential: bool = True,
-        pool=None,
     ) -> dict[str, Number]:
         """One output's confidence on every (selected) stream."""
-        corpus = self.corpus(streams)
-        resolved = self.resolve_query(query)
-        if pool is not None and len(corpus) > 1:
-            return pool.batch_confidence(
-                resolved,
-                corpus,
-                output,
-                allow_exponential=allow_exponential,
-                chunks=chunk_by_shard(corpus, self.shard_index, len(self._shards)),
-            )
-        from repro.runtime.executor import plan_confidence
-
-        plan = self.plan_cache.get(resolved)
-        return {
-            name: plan_confidence(
-                plan, sequence, output, allow_exponential=allow_exponential
-            )
-            for name, sequence in corpus.items()
-        }
+        plan = self.plan_cache.get(self.resolve_query(query))
+        return batch_confidence(
+            plan, self.corpus(streams), output, allow_exponential=allow_exponential
+        )
 
     def stats(self) -> dict:
         """Shard occupancy plus the shared plan-cache counters."""

@@ -4,7 +4,7 @@ The registry is deliberately tiny: three metric kinds, each a plain
 mutable object, all guarded by one lock. Histograms use *fixed* bucket
 boundaries chosen at creation, which makes their state mergeable — two
 histograms with the same bounds combine bucket-by-bucket, so snapshots
-taken in worker processes (or across benchmark repetitions) can be
+taken in separate processes (or across benchmark repetitions) can be
 folded into one without losing anything but per-event ordering.
 
 Every recorder-object construction bumps a module-level allocation
@@ -175,7 +175,7 @@ class Registry:
     paths are ``/``-joined span names (``verify/instance``). Creation is
     lazy — the first ``count``/``observe`` of a name allocates its
     metric — and everything is guarded by one lock, so instrumented code
-    can record from merge threads or the parent side of a pool without
+    can record from serve's read threads or the event loop without
     coordination.
     """
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.cli import main
@@ -9,7 +11,12 @@ from repro.examples_data.hospital import hospital_sequence, room_change_transduc
 from repro.io.json_format import write_query, write_sequence
 from repro.automata.operations import sigma_star
 from repro.automata.regex import regex_to_dfa
+from repro.runtime.executor import batch_top_k, plan_confidence
+from repro.runtime.plan import QueryPlan
+from repro.transducers.library import collapse_transducer
 from repro.transducers.sprojector import IndexedSProjector
+
+from tests.conftest import make_fraction_sequence
 
 
 @pytest.fixture
@@ -124,3 +131,40 @@ def test_dot(files, capsys) -> None:
 def test_dot_requires_input(capsys) -> None:
     assert main(["dot"]) == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.fixture
+def batch_files(tmp_path):
+    """A collapse query plus a directory of three exact length-3 streams."""
+    query = collapse_transducer({"a": "X", "b": "Y"})
+    query_path = tmp_path / "query.json"
+    write_query(query, query_path)
+    corpus_dir = tmp_path / "corpus"
+    corpus_dir.mkdir()
+    rng = random.Random(5)
+    corpus = {f"s{i:02d}": make_fraction_sequence("ab", 3, rng) for i in range(3)}
+    for name, sequence in corpus.items():
+        write_sequence(sequence, corpus_dir / f"{name}.json")
+    return QueryPlan.build(query), corpus, str(query_path), str(corpus_dir)
+
+
+def test_cli_batch_top_k(batch_files, capsys) -> None:
+    plan, corpus, query, corpus_dir = batch_files
+    assert main(["batch", "--query", query, "--corpus", corpus_dir, "-k", "4"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    want = batch_top_k(plan, corpus, 4)
+    assert [line.split("\t")[:2] for line in lines] == [
+        [name, answer.rendered()] for name, answer in want
+    ]
+    assert all("score=" in line and "confidence=" in line for line in lines)
+
+
+def test_cli_batch_confidence_mode(batch_files, capsys) -> None:
+    plan, corpus, query, corpus_dir = batch_files
+    code = main(["batch", "--query", query, "--corpus", corpus_dir, "--answer", "X,Y,X"])
+    assert code == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines == [
+        f"{name}\t{float(plan_confidence(plan, sequence, ('X', 'Y', 'X'))):.10g}"
+        for name, sequence in corpus.items()
+    ]

@@ -54,11 +54,6 @@ def test_verify_missing_corpus_directory(capsys) -> None:
     assert "does not exist" in err
 
 
-def test_verify_rejects_bad_workers(capsys) -> None:
-    assert main(["verify", "--workers", "0"]) == 2
-    assert "--workers must be at least 1" in capsys.readouterr().err
-
-
 def test_verify_rejects_unknown_classes(capsys) -> None:
     assert main(["verify", "--classes", "deterministic,bogus"]) == 2
     assert "unknown query class" in capsys.readouterr().err
@@ -94,17 +89,6 @@ def test_batch_needs_some_stream(stream_files, capsys) -> None:
     _seq, query = stream_files
     assert main(["batch", "--query", query]) == 2
     assert "--sequence files and/or --corpus" in capsys.readouterr().err
-
-
-def test_batch_rejects_negative_workers(stream_files, capsys) -> None:
-    seq, query = stream_files
-    code = main(
-        ["batch", "--query", query, "--sequence", seq, "--workers", "-2"]
-    )
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:")
-    assert "worker count cannot be negative" in err
 
 
 def test_batch_malformed_stream_json(tmp_path, stream_files, capsys) -> None:

@@ -11,6 +11,11 @@ from repro.markov.builders import hospital_model
 from repro.examples_data.hospital import hospital_sequence, room_change_transducer
 from repro.lahar.database import MarkovStreamDatabase
 from repro.core.results import Order
+from repro.runtime.executor import plan_confidence, run_evaluate
+from repro.runtime.plan import QueryPlan
+from repro.transducers.library import collapse_transducer
+
+from tests.conftest import make_fraction_sequence
 
 
 @pytest.fixture
@@ -75,3 +80,18 @@ def test_top_k_across_streams(db: MarkovStreamDatabase) -> None:
 def test_top_k_across_subset(db: MarkovStreamDatabase) -> None:
     merged = db.top_k_across("rooms", 2, streams=["cart-17"])
     assert all(item.stream == "cart-17" for item in merged)
+
+
+def test_database_batch_confidence() -> None:
+    db = MarkovStreamDatabase()
+    rng = random.Random(5)
+    corpus = {f"s{i:02d}": make_fraction_sequence("ab", 3, rng) for i in range(4)}
+    for name, sequence in corpus.items():
+        db.register_stream(name, sequence)
+    query = collapse_transducer({"a": "X", "b": "Y"})
+    plan = QueryPlan.build(query)
+    output = next(iter(run_evaluate(plan, corpus["s00"]))).output
+    # Exact streams take the per-stream path and stay exact.
+    assert db.batch_confidence(query, output) == {
+        name: plan_confidence(plan, sequence, output) for name, sequence in corpus.items()
+    }

@@ -136,7 +136,7 @@ def test_rx04_good_fixture_is_clean():
 
 def test_rx04_scope():
     assert not lint_fixture("rx04_bad.py", "repro/serve/server.py").clean
-    assert not lint_fixture("rx04_bad.py", "repro/parallel/pool.py").clean
+    assert not lint_fixture("rx04_bad.py", "repro/telemetry/metrics.py").clean
     # serve/ outside server.py is not in RX04 scope.
     report = lint_fixture("rx04_bad.py", "repro/serve/protocol.py")
     assert not any(f.rule == "RX04" for f in report.violations)
@@ -207,7 +207,7 @@ def test_registry_parses_real_catalogue():
     assert "runtime.plan_cache.hits" in registry.metrics
     assert "runtime.plan_cache.misses" in registry.metrics
     assert "runtime.plan_cache.evictions" in registry.metrics
-    assert "parallel.worker_cache.misses" in registry.metrics
+    assert "oracle.shrink.accepted" in registry.metrics
     # Span rows land in spans, not metrics.
     assert "verify/corpus_case" in registry.spans
     assert "approx.estimate" in registry.spans

@@ -55,8 +55,8 @@ def test_probes_are_ranked_by_confidence() -> None:
 
 def test_shared_context_is_left_open() -> None:
     instance = generate_instance("uniform", seed=3)
-    with VerifyContext() as context:
-        first = check_instance(instance, context)
-        second = check_instance(instance, context, ENGINES, probe_limit=1)
-        assert first.ok and second.ok
-        assert second.probes <= first.probes
+    context = VerifyContext()
+    first = check_instance(instance, context)
+    second = check_instance(instance, context, ENGINES, probe_limit=1)
+    assert first.ok and second.ok
+    assert second.probes <= first.probes

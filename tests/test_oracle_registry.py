@@ -10,14 +10,13 @@ from repro.oracle.registry import ENGINES, Prepared, VerifyContext, engine_matri
 ENGINE_NAMES = tuple(engine.name for engine in ENGINES)
 
 
-def test_registry_has_the_eight_engine_families() -> None:
+def test_registry_has_the_seven_engine_families() -> None:
     assert ENGINE_NAMES == (
         "brute-force",
         "log-space",
         "fraction",
         "specialized",
         "runtime",
-        "pool",
         "vectorized",
         "approx",
     )
@@ -39,7 +38,7 @@ def test_dense_columns_serve_only_the_deterministic_row() -> None:
 
 def test_exact_engines_serve_every_class() -> None:
     matrix = engine_matrix()
-    for name in ("brute-force", "fraction", "specialized", "runtime", "pool"):
+    for name in ("brute-force", "fraction", "specialized", "runtime"):
         assert all(matrix[(label, name)] for label in CLASS_LABELS), name
 
 
@@ -75,15 +74,6 @@ def test_exact_match_semantics() -> None:
     assert approx.matches(0.25 * (1 + 1e-8), 0.25, instance_exact=True)
 
 
-def test_context_reuses_its_pool_and_closes_it() -> None:
-    context = VerifyContext()
-    try:
-        assert context.pool() is context.pool()
-    finally:
-        context.close()
-    assert context._pool is None
-
-
 def test_approx_engine_scopes_to_the_general_class() -> None:
     matrix = engine_matrix()
     applicable = {label for label in CLASS_LABELS if matrix[(label, "approx")]}
@@ -113,8 +103,8 @@ def test_approx_engine_is_deterministic_per_probe() -> None:
     prepared = Prepared(generate_instance("general", seed=11, trial=0))
     answers = brute_force_answers(prepared.sequence_exact, prepared.instance.query)
     answer, want = max(answers.items(), key=lambda item: (item[1], repr(item[0])))
-    with VerifyContext() as context:
-        first = _approx(prepared, answer, context)
-        second = _approx(prepared, answer, context)
+    context = VerifyContext()
+    first = _approx(prepared, answer, context)
+    second = _approx(prepared, answer, context)
     assert first == second
     assert first.contains(want)

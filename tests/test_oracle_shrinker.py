@@ -36,27 +36,27 @@ def _off_by_one_engine() -> Engine:
 def test_injected_off_by_one_is_caught_and_shrunk_to_minimal() -> None:
     scratch = _off_by_one_engine()
     engines = ENGINES + (scratch,)
-    with VerifyContext() as context:
+    context = VerifyContext()
 
-        def fails(candidate) -> bool:
-            result = check_instance(candidate, context, engines)
-            return any(diff.engine == "scratch" for diff in result.diffs)
+    def fails(candidate) -> bool:
+        result = check_instance(candidate, context, engines)
+        return any(diff.engine == "scratch" for diff in result.diffs)
 
-        instance = None
-        for seed in range(16):
-            candidate = generate_instance("deterministic", seed, trial=1)
-            if fails(candidate):
-                instance = candidate
-                break
-        assert instance is not None, "no seeded instance tripped the injected bug"
+    instance = None
+    for seed in range(16):
+        candidate = generate_instance("deterministic", seed, trial=1)
+        if fails(candidate):
+            instance = candidate
+            break
+    assert instance is not None, "no seeded instance tripped the injected bug"
 
-        minimal = shrink(instance, fails)
-        assert fails(minimal)
-        # Local minimality: no single further simplification still fails.
-        assert not any(fails(candidate) for candidate in shrink_candidates(minimal))
-        assert minimal.sequence.support_size() <= instance.sequence.support_size()
-        # The query is the spec under test and must be untouched.
-        assert minimal.query is instance.query
+    minimal = shrink(instance, fails)
+    assert fails(minimal)
+    # Local minimality: no single further simplification still fails.
+    assert not any(fails(candidate) for candidate in shrink_candidates(minimal))
+    assert minimal.sequence.support_size() <= instance.sequence.support_size()
+    # The query is the spec under test and must be untouched.
+    assert minimal.query is instance.query
 
 
 def test_shrink_candidates_simplify_monotonically() -> None:

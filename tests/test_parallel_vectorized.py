@@ -3,7 +3,8 @@
 Cross-checks :func:`confidence_dense_batch` against its own single-stream
 (``B = 1``) runs and the exact sparse DP stream-by-stream, pins the
 ``B = 1`` scalar case on its own, and exercises the eligibility gate
-that keeps the float-only fast path away from exact corpora.
+through which :func:`repro.runtime.executor.batch_confidence` keeps the
+float-only fast path away from exact corpora.
 """
 
 from __future__ import annotations
@@ -21,12 +22,12 @@ from repro.confidence.deterministic import confidence_deterministic
 from repro.examples_data.hospital import room_change_transducer
 from repro.markov.builders import uniform_iid
 from repro.parallel import (
-    WorkerPool,
     confidence_dense_batch,
     confidence_dense_batch_named,
     dense_batch_eligible,
 )
-from repro.runtime.executor import run_evaluate
+from repro.runtime import executor
+from repro.runtime.executor import batch_confidence, run_evaluate
 from repro.runtime.plan import QueryPlan
 from repro.transducers.library import collapse_transducer, identity_mealy
 from repro.transducers.transducer import Transducer
@@ -184,39 +185,38 @@ def test_eligibility_gate() -> None:
     assert not dense_batch_eligible(hospital_plan, floats)
 
 
-def test_pool_auto_dispatch_uses_vectorized_path() -> None:
+def count_dense_batches(monkeypatch) -> list:
+    """Record every vectorized DP ``batch_confidence`` runs."""
+    calls: list = []
+
+    def counted(sequences, transducer, output):
+        calls.append(len(sequences))
+        return confidence_dense_batch(sequences, transducer, output)
+
+    monkeypatch.setattr(executor, "confidence_dense_batch", counted)
+    return calls
+
+
+def test_batch_confidence_auto_uses_vectorized_path(monkeypatch) -> None:
     corpus = float_corpus(8)
     output = some_output(corpus)
-    with WorkerPool(2) as pool:
-        values = pool.batch_confidence(_query(), corpus, output, vectorized="auto")
-        assert pool.stats.vectorized_batches == 1
-        assert pool.stats.tasks == 0  # no process fan-out needed
+    calls = count_dense_batches(monkeypatch)
+    values = batch_confidence(QueryPlan.build(_query()), corpus, output)
+    assert calls == [8]  # one batched DP for the whole corpus
+    assert list(values) == list(corpus)
     for name, sequence in corpus.items():
         assert values[name] == pytest.approx(
             confidence_dense_batch([sequence], _query(), output)[0], abs=1e-12
         )
 
 
-def test_pool_never_dispatch_stays_exact() -> None:
+def test_batch_confidence_exact_corpus_stays_exact(monkeypatch) -> None:
     rng = random.Random(21)
     corpus = {f"e{i}": make_fraction_sequence(ALPHABET, 3, rng) for i in range(4)}
     output = some_output(corpus)
-    with WorkerPool(2, chunk_size=2) as pool:
-        auto = pool.batch_confidence(_query(), corpus, output, vectorized="auto")
-        assert pool.stats.vectorized_batches == 0  # exact corpus: gate refuses
+    calls = count_dense_batches(monkeypatch)
+    values = batch_confidence(QueryPlan.build(_query()), corpus, output)
+    assert calls == []  # exact corpus: the gate refuses the float path
     for name, sequence in corpus.items():
         expected = confidence_deterministic(sequence, _query(), output)
-        assert auto[name] == expected  # Fraction == Fraction, bit-exact
-
-
-def test_forced_vectorized_downgrades_exact_corpus() -> None:
-    rng = random.Random(22)
-    corpus = {f"e{i}": make_fraction_sequence(ALPHABET, 3, rng) for i in range(3)}
-    output = some_output(corpus)
-    with WorkerPool(1) as pool:
-        forced = pool.batch_confidence(_query(), corpus, output, vectorized=True)
-        assert pool.stats.vectorized_batches == 1
-    for name, sequence in corpus.items():
-        exact = confidence_deterministic(sequence, _query(), output)
-        assert isinstance(forced[name], float)
-        assert forced[name] == pytest.approx(float(exact), rel=1e-9, abs=1e-12)
+        assert values[name] == expected  # Fraction == Fraction, bit-exact

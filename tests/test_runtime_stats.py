@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.runtime.stats import PlanStats, PoolStats, instrument
+from repro.runtime.stats import PlanStats, instrument
 
 
 # ---------------------------------------------------------------------------
@@ -38,50 +38,6 @@ def test_plan_stats_record_append_accumulates_cells() -> None:
     stats.record_append(7)
     assert stats.appends == 2
     assert stats.dp_cells == 17
-
-
-# ---------------------------------------------------------------------------
-# PoolStats
-# ---------------------------------------------------------------------------
-
-
-def test_pool_stats_record_chunk_feeds_serial_estimate() -> None:
-    stats = PoolStats()
-    stats.record_chunk(0.2, 5)
-    stats.record_chunk(0.3, 7)
-    assert stats.chunk_seconds == [0.2, 0.3]
-    assert stats.serial_estimate_seconds == pytest.approx(0.5)
-    assert stats.streams == 12
-    assert stats.as_dict()["chunks"] == 2
-
-
-def test_pool_stats_speedup_estimate_needs_both_sides() -> None:
-    stats = PoolStats()
-    assert stats.speedup_estimate() is None  # no data at all
-    stats.record_batch(0.1)
-    assert stats.speedup_estimate() is None  # wall time but no chunk time
-    stats.record_chunk(0.4, 1)
-    assert stats.speedup_estimate() == pytest.approx(4.0)
-    assert stats.as_dict()["speedup_estimate"] == pytest.approx(4.0)
-
-
-def test_pool_stats_record_batch() -> None:
-    stats = PoolStats()
-    stats.record_batch(1.0)
-    stats.record_batch(0.5)
-    assert stats.batches == 2
-    assert stats.wall_seconds == pytest.approx(1.5)
-
-
-def test_pool_stats_as_dict_lists_every_counter() -> None:
-    stats = PoolStats()
-    expected = {
-        "batches", "tasks", "completed", "streams", "retries", "timeouts",
-        "broken_pools", "worker_errors", "serial_fallbacks", "serial_batches",
-        "vectorized_batches", "chunks", "wall_seconds",
-        "serial_estimate_seconds", "speedup_estimate",
-    }
-    assert set(stats.as_dict()) == expected
 
 
 # ---------------------------------------------------------------------------

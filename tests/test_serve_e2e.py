@@ -11,6 +11,7 @@ standing query advances one DP layer per append instead of re-planning.
 
 from __future__ import annotations
 
+import multiprocessing
 from fractions import Fraction
 
 from repro.automata.operations import sigma_star
@@ -18,6 +19,8 @@ from repro.automata.regex import regex_to_dfa, regex_to_nfa
 from repro.io.json_format import query_to_dict, sequence_to_dict
 from repro.lahar.database import MarkovStreamDatabase
 from repro.lahar.monitor import occurrence_profile
+from repro.runtime.executor import batch_top_k
+from repro.runtime.plan import QueryPlan
 from repro.serve import ServeClient, ServerThread
 from repro.serve.protocol import decode_value, encode_transition, encode_value
 from repro.transducers.library import accept_filter
@@ -175,6 +178,39 @@ def test_top_k_across_matches_offline_merge(tmp_path, rng) -> None:
             )
     got = [
         (entry["stream"], entry["output"], decode_value(entry["score"]))
+        for entry in merged["answers"]
+    ]
+    assert got == want
+
+
+def test_top_k_across_read_workers_start_no_process(tmp_path, rng) -> None:
+    """``pool_workers`` sizes the read threads: the fleet read answers as
+    the offline ranked merge does, and no worker process is started."""
+    query = contains_ab_query()
+    sequences = {f"s{i}": make_fraction_sequence(ALPHABET, 4, rng) for i in range(8)}
+    want = [
+        (name, answer.rendered(), answer.score, answer.confidence)
+        for name, answer in batch_top_k(QueryPlan.build(query), sequences, 5, order="emax")
+    ]
+
+    path = str(tmp_path / "workers.sock")
+    with ServerThread(socket_path=path, shards=4, pool_workers=2):
+        with ServeClient.connect_unix(path) as client:
+            for name, sequence in sequences.items():
+                client.call(
+                    "register_stream", name=name, sequence=sequence_to_dict(sequence)
+                )
+            merged = client.call(
+                "top_k_across", query=query_to_dict(query), k=5, order="emax"
+            )
+            assert multiprocessing.active_children() == []
+    got = [
+        (
+            entry["stream"],
+            entry["output"],
+            decode_value(entry["score"]),
+            decode_value(entry["confidence"]),
+        )
         for entry in merged["answers"]
     ]
     assert got == want

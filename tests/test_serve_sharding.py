@@ -1,4 +1,4 @@
-"""Stable stream sharding and cross-shard reads (serial == pooled)."""
+"""Stable stream sharding and cross-shard reads (sharded == flat)."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ import pytest
 
 from repro.errors import ReproError
 from repro.lahar.database import MarkovStreamDatabase
-from repro.parallel import WorkerPool
 from repro.serve.sharding import ShardedDatabase, shard_of
 from repro.transducers.library import collapse_transducer
 
@@ -76,7 +75,7 @@ def test_shards_share_one_plan_cache(rng) -> None:
     assert db.plan_cache.misses == 1  # one shape, planned once, all shards
 
 
-def test_top_k_across_pooled_matches_serial_and_flat(rng) -> None:
+def test_top_k_across_sharded_matches_flat(rng) -> None:
     db = populated(rng)
     flat = MarkovStreamDatabase()
     for name in db.streams():
@@ -85,28 +84,22 @@ def test_top_k_across_pooled_matches_serial_and_flat(rng) -> None:
         (sa.stream, sa.answer.output, sa.answer.score)
         for sa in flat.top_k_across(collapse(), 5, order="emax")
     ]
-    serial = [
+    sharded = [
         (sa.stream, sa.answer.output, sa.answer.score)
         for sa in db.top_k_across(collapse(), 5, order="emax")
     ]
-    with WorkerPool(2) as pool:
-        pooled = [
-            (sa.stream, sa.answer.output, sa.answer.score)
-            for sa in db.top_k_across(collapse(), 5, order="emax", pool=pool)
-        ]
-        assert pool.stats.tasks == len(db.shard_chunks())
-    assert serial == want
-    assert pooled == want
+    assert sharded == want
 
 
-def test_batch_confidence_pooled_matches_serial(rng) -> None:
+def test_batch_confidence_sharded_matches_flat(rng) -> None:
     db = populated(rng, streams=4)
+    flat = MarkovStreamDatabase()
+    for name in db.streams():
+        flat.register_stream(name, db.stream(name))
     output = ("X",) * db.stream("s0").length
-    serial = db.batch_confidence(collapse(), output)
-    with WorkerPool(2) as pool:
-        pooled = db.batch_confidence(collapse(), output, pool=pool)
-    assert pooled == serial
-    assert set(serial) == set(db.streams())
+    sharded = db.batch_confidence(collapse(), output)
+    assert sharded == flat.batch_confidence(collapse(), output)
+    assert set(sharded) == set(db.streams())
 
 
 def test_shard_chunks_cover_the_corpus(rng) -> None:

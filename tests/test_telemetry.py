@@ -320,25 +320,6 @@ def test_plan_cache_telemetry_counters() -> None:
     assert registry.counter_value("runtime.plan_cache.misses") == 1
 
 
-def test_pool_serial_batch_telemetry() -> None:
-    from repro.parallel import WorkerPool
-
-    registry = telemetry.enable()
-    sequence = hospital_sequence(exact=False)
-    with WorkerPool(1) as pool:
-        pool.batch_top_k(room_change_transducer(), {"s": sequence}, 2)
-    snap = registry.snapshot()
-    assert snap["counters"]["parallel.serial_batches"] == 1
-    assert snap["counters"]["parallel.streams"] == 1
-    assert snap["histograms"]["parallel.chunk.seconds"]["count"] == 1
-    # the serial path runs through the worker-side cache, so its delta shows
-    assert (
-        snap["counters"]["parallel.worker_cache.hits"]
-        + snap["counters"]["parallel.worker_cache.misses"]
-        >= 1
-    )
-
-
 def test_verify_telemetry_spans_and_counters() -> None:
     from repro.oracle.harness import verify
 
@@ -393,14 +374,14 @@ def test_cli_batch_telemetry(files, tmp_path, capsys) -> None:
                 "batch",
                 "--query", query,
                 "--sequence", seq,
-                "--workers", "1",
                 "--telemetry", snap_path,
             ]
         )
         == 0
     )
     snapshot = telemetry.load_snapshot(snap_path)
-    assert snapshot["counters"]["parallel.batches"] == 1
+    # The ranked merge pops the hospital stream's E_max answers.
+    assert snapshot["counters"]["enumeration.viterbi.passes"] >= 1
 
 
 def test_cli_verify_telemetry(tmp_path, capsys) -> None:
