@@ -3,8 +3,9 @@
 Paper claim (Theorem 4.6): PTIME — ``O(|o| n |Sigma|^2 |Q|^2)``, and
 ``O(k n |Sigma|^2 |Q|^2)`` under k-uniform emission. Shape reproduced:
 runtime grows ~linearly in the sequence length ``n`` and in ``|o|``
-(polynomial, never exponential), and the k-uniform fast path beats the
-general DP on uniform machines.
+(polynomial, never exponential). There is one DP for both cases; under
+k-uniform emission it only adds a length check (``|o| == k n``) that
+answers zero before any layer runs.
 """
 
 from __future__ import annotations
@@ -13,11 +14,7 @@ import random
 
 from repro.markov.builders import random_sequence
 from repro.transducers.library import collapse_transducer
-from repro.confidence.deterministic import (
-    _confidence_general_deterministic,
-    confidence_deterministic,
-)
-from repro.semiring import REAL
+from repro.confidence.deterministic import confidence_deterministic
 
 from benchmarks.shape import assert_polynomialish, print_series, timed
 
@@ -56,22 +53,3 @@ def bench_confidence_deterministic_scaling_n(benchmark) -> None:
     result = benchmark(confidence_deterministic, sequence, query, output)
     assert result > 0
 
-
-def bench_uniform_fast_path_vs_general(benchmark) -> None:
-    sequence, query, output = _instance(200)
-    fast = timed(lambda: confidence_deterministic(sequence, query, output))
-    general = timed(
-        lambda: _confidence_general_deterministic(sequence, query, tuple(output), REAL)
-    )
-    print_series(
-        "Theorem 4.6: k-uniform fast path vs general DP (n=200)",
-        ["variant", "seconds"],
-        [("k-uniform fast path", fast), ("general (explicit j)", general)],
-    )
-    a = confidence_deterministic(sequence, query, output)
-    b = _confidence_general_deterministic(sequence, query, tuple(output), REAL)
-    assert abs(a - b) < 1e-9
-
-    benchmark(
-        _confidence_general_deterministic, sequence, query, tuple(output), REAL
-    )

@@ -1,8 +1,8 @@
 """Benchmarks for the beyond-the-paper extensions.
 
 Covers the extension features DESIGN.md lists: confidence-threshold
-queries (engine `min_confidence`), evidence ranking (lineage), Monte
-Carlo estimation against the exact DP, and the naive-vs-Lawler dedupe
+queries (engine `min_confidence`), Monte Carlo estimation against the
+exact DP, exact top-k by confidence, and the naive-vs-Lawler dedupe
 ablation of Section 5.2.
 """
 
@@ -18,12 +18,11 @@ from repro.transducers.library import collapse_transducer
 from repro.transducers.sprojector import IndexedSProjector, SProjector
 from repro.confidence.deterministic import confidence_deterministic
 from repro.confidence.montecarlo import estimate_confidence
-from repro.enumeration.evidence import explain
+from repro.core.engine import evaluate
 from repro.enumeration.sprojector_ranked import (
     enumerate_sprojector_imax,
     enumerate_sprojector_imax_naive,
 )
-from repro.enumeration.threshold import indexed_answers_above
 
 from benchmarks.shape import print_series, timed
 
@@ -37,10 +36,16 @@ def bench_threshold_cutoff_is_output_sensitive(benchmark) -> None:
         sigma_star(ALPHABET), regex_to_dfa("a+", ALPHABET), sigma_star(ALPHABET)
     )
     sequence = random_sequence(ALPHABET, 60, random.Random(1))
+
+    def above(theta):
+        return list(
+            evaluate(sequence, projector, order="confidence", min_confidence=theta)
+        )
+
     rows = []
     for theta in (0.2, 0.05, 0.01):
-        answers = list(indexed_answers_above(sequence, projector, theta))
-        seconds = timed(lambda: list(indexed_answers_above(sequence, projector, theta)))
+        answers = above(theta)
+        seconds = timed(lambda: above(theta))
         rows.append((theta, len(answers), seconds))
     print_series(
         "Extension: exact threshold queries (Theorem 5.7 cut-off), n=60",
@@ -50,29 +55,7 @@ def bench_threshold_cutoff_is_output_sensitive(benchmark) -> None:
     counts = [row[1] for row in rows]
     assert counts == sorted(counts)  # lower theta, more answers
 
-    benchmark(lambda: list(indexed_answers_above(sequence, projector, 0.05)))
-
-
-def bench_evidence_explanation(benchmark) -> None:
-    """Lineage: the top evidences of the most collapsed answer."""
-    query = collapse_transducer({"a": "X", "b": "X"})  # single answer
-    rows = []
-    for n in (10, 14, 18):
-        sequence = random_sequence(ALPHABET, n, random.Random(n))
-        answer = ("X",) * n
-        top = explain(sequence, query, answer, k=5)
-        total_conf = confidence_deterministic(sequence, query, answer)
-        coverage = sum(p for p, _w in top) / total_conf
-        rows.append((n, 2**n, float(top[0][0]), float(coverage)))
-    print_series(
-        "Extension: top-5 evidences of an answer with 2^n evidences",
-        ["n", "evidences", "best evidence prob", "top-5 coverage of conf"],
-        rows,
-    )
-    assert all(0 < row[3] <= 1 for row in rows)
-
-    sequence = random_sequence(ALPHABET, 14, random.Random(3))
-    benchmark(explain, sequence, query, ("X",) * 14, 5)
+    benchmark(above, 0.05)
 
 
 def bench_montecarlo_vs_exact(benchmark) -> None:

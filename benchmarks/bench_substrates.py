@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import random
 
-from repro.markov.baumwelch import baum_welch
 from repro.markov.hmm import HMM
 from repro.markov.korder import lift_transducer
 from repro.core.korder import evaluate_korder
@@ -54,22 +53,6 @@ def bench_hmm_translation_scaling(benchmark) -> None:
     _hidden, observations = hmm.sample(100, rng)
     mu = benchmark(hmm.to_markov_sequence, observations)
     assert mu.length == 100
-
-
-def bench_hmm_training(benchmark) -> None:
-    hmm = _hmm()
-    rng = random.Random(2)
-    strings = [hmm.sample(30, rng)[1] for _ in range(3)]
-    result = baum_welch(hmm, strings, iterations=5)
-    trace = result.log_likelihoods
-    print_series(
-        "X1 (upstream): Baum-Welch log-likelihood trace (must be non-decreasing)",
-        ["iteration", "total log-likelihood"],
-        [(i, value) for i, value in enumerate(trace)],
-    )
-    assert all(b >= a - 1e-6 for a, b in zip(trace, trace[1:]))
-
-    benchmark(lambda: baum_welch(hmm, strings, iterations=3))
 
 
 def bench_korder_reduction(benchmark) -> None:

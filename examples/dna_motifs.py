@@ -12,18 +12,18 @@ TATA-box-style motif ``TATA`` three ways:
   Lahar-legacy Boolean query of Section 6;
 * the top motif occurrences in exactly decreasing confidence, via the
   indexed s-projector machinery (Theorem 5.7);
-* all occurrences with confidence above a threshold (an exact cut-off of
-  the same enumeration).
+* all occurrences with confidence above a threshold (the engine's
+  ``min_confidence`` cut-off of the same enumeration).
 """
 
 from __future__ import annotations
 
+from repro.core.engine import evaluate
 from repro.markov.sequence import MarkovSequence
 from repro.automata.operations import sigma_star
 from repro.automata.regex import regex_to_dfa
 from repro.transducers.sprojector import IndexedSProjector
 from repro.enumeration.indexed_ranked import enumerate_indexed_ranked
-from repro.enumeration.threshold import indexed_answers_above
 from repro.lahar.monitor import occurrence_profile
 from repro.automata.regex import regex_to_nfa
 
@@ -78,8 +78,9 @@ def main() -> None:
 
     theta = 0.25
     print(f"All occurrences with confidence >= {theta}:")
-    for confidence, (motif_str, position) in indexed_answers_above(mu, projector, theta):
-        print(f"  {''.join(motif_str)} at position {position:<3} conf = {confidence:.4f}")
+    for answer in evaluate(mu, projector, order="confidence", min_confidence=theta):
+        motif_str, position = answer.output
+        print(f"  {''.join(motif_str)} at position {position:<3} conf = {answer.confidence:.4f}")
 
 
 if __name__ == "__main__":

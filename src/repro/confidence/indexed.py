@@ -62,7 +62,7 @@ def backward_suffix_weights(
     ``q`` is accepting (empty suffix) and 0 otherwise.
     """
     suffix = projector.suffix
-    n = sequence.length
+    _initial, transitions = semiring.lift_sequence(sequence)
     final = {
         (symbol, state): (semiring.one if state in suffix.accepting else semiring.zero)
         for symbol in sequence.symbols
@@ -70,14 +70,15 @@ def backward_suffix_weights(
     }
     layers: list[dict[tuple[Symbol, object], Number]] = [final]
     layer = final
-    for j in range(n - 1, 0, -1):
+    for rows in reversed(transitions):
         prev: dict[tuple[Symbol, object], Number] = {}
         for symbol in sequence.symbols:
+            row = rows.get(symbol, {})
             for state in suffix.states:
                 total = semiring.zero
-                for target, prob in sequence.successors(j, symbol):
+                for target, weight in row.items():
                     cont = layer[(target, suffix.step(state, target))]
-                    total = semiring.add(total, semiring.mul(prob, cont))
+                    total = semiring.add(total, semiring.mul(weight, cont))
                 prev[(symbol, state)] = total
         layers.insert(0, prev)
         layer = prev
@@ -117,29 +118,34 @@ def confidence_indexed(
         sequence, projector, semiring
     )
 
+    weights = semiring.lift_sequence(sequence)
     if m == 0:
-        return _confidence_empty_match(sequence, projector, index, semiring, forward, backward)
+        return _confidence_empty_match(
+            sequence, projector, index, semiring, weights, forward, backward
+        )
+    initial, transitions = weights
 
     # Start weight: mass of worlds with S[1..index-1] in L(B) and S_index = o_1.
     if index == 1:
         if prefix.initial not in prefix.accepting:
             return semiring.zero
-        start = sequence.initial_prob(target[0])
-        if semiring.is_zero(start) and start == 0:
-            return semiring.zero
+        start = initial.get(target[0], semiring.zero)
     else:
+        rows = transitions[index - 2]
         start = semiring.zero
         for (symbol, state), mass in forward[index - 1].items():
             if state in prefix.accepting:
-                prob = sequence.transition_prob(index - 1, symbol, target[0])
-                if prob != 0:
-                    start = semiring.add(start, semiring.mul(mass, prob))
+                weight = rows.get(symbol, {}).get(target[0])
+                if weight is not None:
+                    start = semiring.add(start, semiring.mul(mass, weight))
+    if semiring.is_zero(start):
+        return semiring.zero
 
     # Segment weight: the fixed match o at positions index .. index+m-1.
     segment = semiring.one
     for t in range(m - 1):
-        prob = sequence.transition_prob(index + t, target[t], target[t + 1])
-        segment = semiring.mul(segment, prob)
+        row = transitions[index + t - 1].get(target[t], {})
+        segment = semiring.mul(segment, row.get(target[t + 1], semiring.zero))
 
     # End weight: suffix acceptance from position index+m-1.
     end_pos = index + m - 1
@@ -153,11 +159,13 @@ def _confidence_empty_match(
     projector: SProjector,
     index: int,
     semiring: Semiring,
+    weights,
     forward,
     backward,
 ) -> Number:
     """Answers ``(epsilon, i)``: prefix of length ``i-1`` in L(B), suffix
-    ``S[i..n]`` in L(E), nothing in between."""
+    ``S[i..n]`` in L(E), nothing in between. ``weights`` is
+    ``semiring.lift_sequence(sequence)``."""
     prefix, suffix = projector.prefix, projector.suffix
     n = sequence.length
     if index == n + 1:
@@ -168,19 +176,22 @@ def _confidence_empty_match(
             mass for (_symbol, state), mass in forward[n].items()
             if state in prefix.accepting
         )
+    initial, transitions = weights
+    # (mass of an accepted prefix, row of next-symbol weights) pairs.
     if index == 1:
         if prefix.initial not in prefix.accepting:
             return semiring.zero
-        total = semiring.zero
-        for symbol, prob in sequence.initial_support():
-            cont = backward[1][(symbol, suffix.step(suffix.initial, symbol))]
-            total = semiring.add(total, semiring.mul(prob, cont))
-        return total
+        sources = [(semiring.one, initial)]
+    else:
+        rows = transitions[index - 2]
+        sources = [
+            (mass, rows.get(symbol, {}))
+            for (symbol, state), mass in forward[index - 1].items()
+            if state in prefix.accepting
+        ]
     total = semiring.zero
-    for (symbol, state), mass in forward[index - 1].items():
-        if state not in prefix.accepting:
-            continue
-        for target, prob in sequence.successors(index - 1, symbol):
+    for mass, row in sources:
+        for target, weight in row.items():
             cont = backward[index][(target, suffix.step(suffix.initial, target))]
-            total = semiring.add(total, semiring.mul(semiring.mul(mass, prob), cont))
+            total = semiring.add(total, semiring.mul(semiring.mul(mass, weight), cont))
     return total

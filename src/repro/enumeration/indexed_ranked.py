@@ -123,9 +123,10 @@ def build_answer_dag(sequence: MarkovSequence, projector: SProjector) -> Weighte
 
     # Empty-match answers (epsilon, i), present only if epsilon in L(A).
     if pattern.initial in pattern.accepting:
+        weights = REAL.lift_sequence(sequence)
         for i in range(1, n + 2):
             weight = _confidence_empty_match(
-                sequence, projector, i, REAL, forward, backward
+                sequence, projector, i, REAL, weights, forward, backward
             )
             if weight != 0:
                 dag.add_edge(SOURCE, ("e", i), weight, ("eps", i))

@@ -15,7 +15,8 @@ The output is the *exact* top-k by confidence. Worst-case time is not
 polynomial (it cannot be, by Theorem 5.3); it is instance-sensitive: the
 algorithm stops after the k-th confidence crosses the shrinking
 threshold, which on non-adversarial instances happens after a handful of
-candidates (measured in ``benchmarks/bench_extensions.py``'s companion).
+candidates (measured by ``bench_exact_topk_ta`` in
+``benchmarks/bench_extensions.py``).
 """
 
 from __future__ import annotations

@@ -20,17 +20,6 @@ from repro.markov.builders import (
     random_sequence,
     uniform_iid,
 )
-from repro.markov.analysis import (
-    condition_on,
-    entropy,
-    k_best_worlds,
-    kl_divergence,
-    most_likely_world,
-    reverse_sequence,
-    total_variation,
-)
-from repro.markov.baumwelch import TrainingResult, baum_welch
-from repro.markov.estimation import empirical_distribution, estimate_from_worlds
 from repro.markov.hmm import HMM
 from repro.markov.korder import KOrderMarkovSequence, lift_transducer
 
@@ -44,15 +33,4 @@ __all__ = [
     "HMM",
     "KOrderMarkovSequence",
     "lift_transducer",
-    "baum_welch",
-    "TrainingResult",
-    "estimate_from_worlds",
-    "empirical_distribution",
-    "most_likely_world",
-    "k_best_worlds",
-    "condition_on",
-    "reverse_sequence",
-    "entropy",
-    "kl_divergence",
-    "total_variation",
 ]

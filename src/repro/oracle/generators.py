@@ -361,33 +361,3 @@ def make_failure_arc_transducer(num_states: int = 64, seed: int = 0) -> Transduc
             omega[(state, symbol, target)] = pair_emissions[(base, symbol)]
     nfa = NFA(alphabet, states, states[0], set(states), delta)
     return Transducer(nfa, omega)
-
-
-def make_large_sparse_instance(
-    num_states: int = 64, length: int = 3, seed: int = 0
-) -> Instance:
-    """A corpus-grade large, low-density instance (density ``1/|Q|``)."""
-    rng = random.Random(f"sparse-instance/{seed}")
-    alphabet = ("a", "b", "c")
-    return Instance(
-        label="deterministic",
-        sequence=make_fraction_sequence(alphabet, length, rng),
-        query=make_sparse_transducer(num_states, alphabet, seed),
-        seed=seed,
-        note="large-sparse",
-    )
-
-
-def make_failure_arc_instance(
-    num_states: int = 64, length: int = 3, seed: int = 0
-) -> Instance:
-    """A corpus-grade instance whose rows are maximally shareable."""
-    rng = random.Random(f"failure-arc-instance/{seed}")
-    alphabet = ("a", "b")
-    return Instance(
-        label="deterministic",
-        sequence=make_fraction_sequence(alphabet, length, rng),
-        query=make_failure_arc_transducer(num_states, seed),
-        seed=seed,
-        note="failure-arc-heavy",
-    )

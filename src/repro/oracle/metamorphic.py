@@ -20,7 +20,7 @@ instance must agree:
 
 Three further relations compare *evaluation paths* rather than rewritten
 instances: :func:`check_semiring_swap` (the real vs log semiring run of
-the deterministic-transducer DP), :func:`check_execution_equivalence`
+every Table-2 DP that takes ``semiring=``), :func:`check_execution_equivalence`
 (serial vs batched and vectorized execution of the same plan), and
 :func:`check_shrink_swap` (the plan-time shrink pass on and off, both
 routes against the referee).
@@ -38,6 +38,9 @@ from repro.automata.dfa import DFA
 from repro.automata.nfa import NFA
 from repro.confidence.brute_force import brute_force_answers
 from repro.confidence.deterministic import confidence_deterministic
+from repro.confidence.indexed import confidence_indexed
+from repro.confidence.sprojector import confidence_sprojector
+from repro.confidence.uniform_subset import confidence_uniform
 from repro.markov.korder import KOrderMarkovSequence, lift_transducer
 from repro.markov.sequence import MarkovSequence
 from repro.oracle.differential import Diff, pick_probes
@@ -47,7 +50,7 @@ from repro.parallel.vectorized import dense_batch_eligible
 from repro.runtime.cache import plan_for
 from repro.runtime.executor import batch_confidence, plan_confidence
 from repro.runtime.plan import QueryPlan
-from repro.semiring import LOG
+from repro.semiring import LOG, REAL
 from repro.transducers.sprojector import IndexedSProjector, SProjector
 from repro.transducers.transducer import Transducer
 
@@ -372,18 +375,28 @@ def check_transform(
 # ---------------------------------------------------------------------------
 
 
+#: The Table-2 DP per class label that takes ``semiring=`` (the general
+#: class has none). Indexed answers ``(o, i)`` pass ``o`` and ``i`` apart.
+_SEMIRING_ENGINES: dict[str, Callable[..., object]] = {
+    "deterministic": confidence_deterministic,
+    "uniform": confidence_uniform,
+    "sprojector": confidence_sprojector,
+    "indexed": confidence_indexed,
+}
+
+
 def check_semiring_swap(instance: Instance, probe_limit: int = 3) -> list[Diff]:
-    """Real vs log semiring on the deterministic-transducer DP."""
-    query = instance.query
-    if not (isinstance(query, Transducer) and query.is_deterministic()):
+    """Real vs log semiring on every Table-2 DP that takes ``semiring=``."""
+    label = _classify(instance.query)
+    engine = _SEMIRING_ENGINES.get(label)
+    if engine is None:
         return []
-    reference = brute_force_answers(instance.sequence, query)
+    reference = brute_force_answers(instance.sequence, instance.query)
     diffs: list[Diff] = []
     for answer in pick_probes(instance, reference, probe_limit):
-        real = confidence_deterministic(instance.sequence, query, answer)
-        via_log = math.exp(
-            confidence_deterministic(instance.sequence, query, answer, semiring=LOG)
-        )
+        args = answer if label == "indexed" else (answer,)
+        real = engine(instance.sequence, instance.query, *args, semiring=REAL)
+        via_log = math.exp(engine(instance.sequence, instance.query, *args, semiring=LOG))
         if not math.isclose(float(real), via_log, rel_tol=1e-6, abs_tol=1e-9):
             diffs.append(
                 Diff(

@@ -157,15 +157,6 @@ class ShardedDatabase:
         selected = list(names) if names is not None else self.streams()
         return {name: self.stream(name) for name in selected}
 
-    def shard_chunks(
-        self, names: Iterable[str] | None = None
-    ) -> list[tuple[tuple[str, MarkovSequence], ...]]:
-        """The (selected) corpus grouped one chunk per non-empty shard."""
-        groups: list[list[tuple[str, MarkovSequence]]] = [[] for _ in self._shards]
-        for name, sequence in self.corpus(names).items():
-            groups[self.shard_index(name)].append((name, sequence))
-        return [tuple(group) for group in groups if group]
-
     def top_k_across(
         self,
         query,

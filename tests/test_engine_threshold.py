@@ -15,7 +15,7 @@ from repro.transducers.sprojector import IndexedSProjector, SProjector
 from repro.confidence.brute_force import brute_force_answers
 from repro.core.engine import evaluate
 
-from tests.conftest import make_sequence
+from tests.conftest import make_random_deterministic_transducer, make_sequence
 
 ALPHABET = "ab"
 
@@ -28,21 +28,34 @@ def expected_above(sequence, query, theta):
     }
 
 
-@pytest.mark.parametrize("order", ["unranked", "emax"])
-def test_threshold_transducer_orders(order: str) -> None:
+def transducer_cases():
+    """``(sequence, query, theta)``: the collapse query, then random
+    deterministic transducers whose emissions have length 0-2."""
     rng = random.Random(6)
     sequence = make_sequence(ALPHABET, 5, rng)
     query = collapse_transducer({"a": "X", "b": "Y"})
-    all_confidences = brute_force_answers(sequence, query)
-    theta = sorted(all_confidences.values())[len(all_confidences) * 3 // 4]
-    produced = {
-        a.output: a.confidence
-        for a in evaluate(sequence, query, order=order, min_confidence=theta)
-    }
-    want = expected_above(sequence, query, theta)
-    assert set(produced) == set(want)
-    for output, confidence in produced.items():
-        assert math.isclose(confidence, want[output], abs_tol=1e-9)
+    confidences = sorted(brute_force_answers(sequence, query).values())
+    yield sequence, query, confidences[len(confidences) * 3 // 4]
+    rng = random.Random(5)
+    for _ in range(4):
+        sequence = make_sequence(ALPHABET, 4, rng)
+        query = make_random_deterministic_transducer(ALPHABET, 3, rng)
+        confidences = brute_force_answers(sequence, query).values()
+        if confidences:
+            yield sequence, query, max(confidences) / 2
+
+
+@pytest.mark.parametrize("order", ["unranked", "emax"])
+def test_threshold_transducer_orders(order: str) -> None:
+    for sequence, query, theta in transducer_cases():
+        produced = {
+            a.output: a.confidence
+            for a in evaluate(sequence, query, order=order, min_confidence=theta)
+        }
+        want = expected_above(sequence, query, theta)
+        assert set(produced) == set(want)
+        for output, confidence in produced.items():
+            assert math.isclose(confidence, want[output], abs_tol=1e-9)
 
 
 def test_threshold_confidence_order_indexed() -> None:

@@ -68,7 +68,16 @@ def test_semiring_swap_on_deterministic_instances(trial) -> None:
 
 def test_semiring_swap_skips_non_deterministic_queries() -> None:
     assert check_semiring_swap(generate_instance("general", seed=5)) == []
+    # The s-projector DP takes semiring= too: this one is checked, and agrees.
     assert check_semiring_swap(generate_instance("sprojector", seed=5)) == []
+
+
+@pytest.mark.parametrize("label", ["uniform", "sprojector", "indexed"])
+@pytest.mark.parametrize("seed", range(4))
+def test_semiring_swap_on_every_semiring_engine(label, seed) -> None:
+    instance = generate_instance(label, seed=seed, trial=seed)
+    diffs = check_semiring_swap(instance)
+    assert not diffs, "\n".join(diff.describe() for diff in diffs)
 
 
 @pytest.mark.parametrize("label", CLASS_LABELS)

@@ -102,16 +102,6 @@ def test_batch_confidence_sharded_matches_flat(rng) -> None:
     assert set(sharded) == set(db.streams())
 
 
-def test_shard_chunks_cover_the_corpus(rng) -> None:
-    db = populated(rng)
-    chunks = db.shard_chunks()
-    names = sorted(name for chunk in chunks for name, _sequence in chunk)
-    assert names == db.streams()
-    for chunk in chunks:
-        owners = {db.shard_index(name) for name, _sequence in chunk}
-        assert len(owners) == 1
-
-
 def test_stats_reports_occupancy(rng) -> None:
     db = populated(rng)
     db.register_query("c", collapse())
