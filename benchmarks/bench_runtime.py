@@ -1,4 +1,4 @@
-"""Experiment R1: the runtime subsystem's two speedups.
+"""Experiment R1: the runtime subsystem's speedups.
 
 A Lahar-style monitoring workload — "has the pattern occurred?" over a
 long RFID-like stream — read repeatedly and appended to continuously:
@@ -9,15 +9,24 @@ long RFID-like stream — read repeatedly and appended to continuously:
   :class:`StreamingEvaluator`'s frontier.
 * **incremental vs from-scratch appends**: absorbing one timestep is a
   single DP layer against re-evaluating the grown stream.
+* **plan lookup, full vs memoised key**: ``PlanCache.get`` on a fresh,
+  structurally equal copy of the 96-state trap monitor (a cache hit
+  that canonicalises and hashes the query) against ``PlanCache.get`` on
+  the same object again (the fingerprint kept on the object). Reported
+  as the median and IQR over :data:`LOOKUP_REPEATS` repeats, with the
+  number of cores the process may run on.
 
-Both speedups must be at least 2x on an ``n >= 200`` stream (they are
-orders of magnitude in practice). Run as a script to (re)record the
-``BENCH_runtime.json`` baseline at the repo root::
+Each speedup must be at least 2x (they are orders of magnitude in
+practice). Run as a script to (re)record the ``BENCH_runtime.json``
+baseline at the repo root::
 
     PYTHONPATH=src python benchmarks/bench_runtime.py
 """
 
 from __future__ import annotations
+
+import os
+import time
 
 from repro import telemetry
 from repro.automata.regex import regex_to_dfa
@@ -26,11 +35,21 @@ from repro.lahar.database import MarkovStreamDatabase
 from repro.runtime.cache import PlanCache
 from repro.runtime.executor import run_evaluate
 
-from benchmarks.shape import REPO_ROOT, bench_result, print_series, timed_best, write_result
+from benchmarks.bench_sparse import trap_monitor_query
+from benchmarks.shape import (
+    REPO_ROOT,
+    bench_result,
+    median_iqr,
+    print_series,
+    timed_best,
+    write_result,
+)
 
 N = 240
 ALPHABET = "ab"
 MIN_SPEEDUP = 2.0
+LOOKUP_REPEATS = 7
+LOOKUPS_PER_REPEAT = 20
 
 
 def monitoring_stream(n: int = N):
@@ -104,6 +123,7 @@ def measure(n: int = N) -> dict:
     append_s = timed_best(incremental_append, repeats=5)
 
     return {
+        **measure_plan_lookup(),
         "n": n,
         "query": "accept_filter((a|b)*ab(a|b)*)",
         "cold_read_s": cold_s,
@@ -112,6 +132,40 @@ def measure(n: int = N) -> dict:
         "full_rerun_s": rerun_s,
         "incremental_append_s": append_s,
         "append_speedup": rerun_s / append_s,
+    }
+
+
+def measure_plan_lookup() -> dict:
+    """Per-call ``PlanCache.get`` cost with the key computed vs memoised.
+
+    Both sides are cache hits on one warm plan. Each repeat times
+    :data:`LOOKUPS_PER_REPEAT` calls: on as many fresh copies of the
+    trap monitor (built untimed), or on one already-seen object.
+    """
+    cache = PlanCache()
+    seen = trap_monitor_query()
+    plan = cache.get(seen)
+
+    def per_call(queries) -> float:
+        start = time.perf_counter()
+        for query in queries:
+            assert cache.get(query) is plan
+        return (time.perf_counter() - start) / len(queries)
+
+    full, memo = [], []
+    for _ in range(LOOKUP_REPEATS):
+        full.append(per_call([trap_monitor_query() for _ in range(LOOKUPS_PER_REPEAT)]))
+        memo.append(per_call([seen] * LOOKUPS_PER_REPEAT))
+    full_median, full_iqr = median_iqr(full)
+    memo_median, memo_iqr = median_iqr(memo)
+    return {
+        "cores": len(os.sched_getaffinity(0)),
+        "plan_lookup_states": len(seen.states),
+        "plan_lookup_full_s": full_median,
+        "plan_lookup_full_iqr_s": full_iqr,
+        "plan_lookup_memo_s": memo_median,
+        "plan_lookup_memo_iqr_s": memo_iqr,
+        "plan_lookup_speedup": full_median / memo_median,
     }
 
 
@@ -124,7 +178,14 @@ def report(results: dict) -> None:
             ("warm read (cached frontier)", results["warm_read_s"], results["warm_speedup"]),
             ("full re-run after append", results["full_rerun_s"], 1.0),
             ("incremental append (1 layer)", results["incremental_append_s"], results["append_speedup"]),
+            ("plan lookup, fresh copy (full key)", results["plan_lookup_full_s"], 1.0),
+            ("plan lookup, same object (memo)", results["plan_lookup_memo_s"], results["plan_lookup_speedup"]),
         ],
+    )
+    print(
+        f"plan lookup IQR: full {results['plan_lookup_full_iqr_s']:.3g} s, "
+        f"memo {results['plan_lookup_memo_iqr_s']:.3g} s "
+        f"({LOOKUP_REPEATS} repeats, {results['cores']} cores)"
     )
 
 
@@ -133,6 +194,7 @@ def bench_runtime_speedups(benchmark) -> None:
     report(results)
     assert results["warm_speedup"] >= MIN_SPEEDUP, results
     assert results["append_speedup"] >= MIN_SPEEDUP, results
+    assert results["plan_lookup_speedup"] >= MIN_SPEEDUP, results
 
     db = MarkovStreamDatabase()
     db.register_stream("tag", monitoring_stream())
@@ -161,6 +223,7 @@ def main() -> None:
     report({**result["params"], **metrics})
     assert metrics["warm_speedup"] >= MIN_SPEEDUP, metrics
     assert metrics["append_speedup"] >= MIN_SPEEDUP, metrics
+    assert metrics["plan_lookup_speedup"] >= MIN_SPEEDUP, metrics
     path = write_result(result, REPO_ROOT / "BENCH_runtime.json")
     print(f"\nwrote {path}")
 

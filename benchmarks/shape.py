@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 import pathlib
+import statistics
 import subprocess
 import time
 from collections.abc import Callable, Sequence
@@ -149,3 +150,13 @@ def assert_polynomialish(times: Sequence[float], factor: float) -> None:
 def timed_best(fn: Callable[[], object], repeats: int = 3) -> float:
     """Best-of-``repeats`` wall-clock timing (noise reduction)."""
     return min(timed(fn) for _ in range(repeats))
+
+
+def median_iqr(samples: Sequence[float]) -> tuple[float, float]:
+    """The median and the interquartile range of ``samples``.
+
+    Needs at least two samples; quartiles use the inclusive method, so
+    they stay inside the observed range.
+    """
+    q1, median, q3 = statistics.quantiles(samples, n=4, method="inclusive")
+    return median, q3 - q1

@@ -204,7 +204,7 @@ class MarkovStreamDatabase:
         advanced = 0
         try:
             for evaluator in attached:
-                evaluator.append(transition)
+                evaluator.advance_to(grown)
                 advanced += 1
             if self._store is not None:
                 self._store.log_append(name, transition)

@@ -37,15 +37,11 @@ from fractions import Fraction
 from repro.automata.dfa import DFA
 from repro.automata.nfa import NFA
 from repro.confidence.brute_force import brute_force_answers
-from repro.confidence.deterministic import confidence_deterministic
-from repro.confidence.indexed import confidence_indexed
-from repro.confidence.sprojector import confidence_sprojector
-from repro.confidence.uniform_subset import confidence_uniform
 from repro.markov.korder import KOrderMarkovSequence, lift_transducer
 from repro.markov.sequence import MarkovSequence
 from repro.oracle.differential import Diff, pick_probes
 from repro.oracle.generators import Instance, _classify
-from repro.oracle.registry import VerifyContext
+from repro.oracle.registry import SEMIRING_ENGINES, VerifyContext, semiring_confidence
 from repro.parallel.vectorized import dense_batch_eligible
 from repro.runtime.cache import plan_for
 from repro.runtime.executor import batch_confidence, plan_confidence
@@ -375,28 +371,19 @@ def check_transform(
 # ---------------------------------------------------------------------------
 
 
-#: The Table-2 DP per class label that takes ``semiring=`` (the general
-#: class has none). Indexed answers ``(o, i)`` pass ``o`` and ``i`` apart.
-_SEMIRING_ENGINES: dict[str, Callable[..., object]] = {
-    "deterministic": confidence_deterministic,
-    "uniform": confidence_uniform,
-    "sprojector": confidence_sprojector,
-    "indexed": confidence_indexed,
-}
-
-
 def check_semiring_swap(instance: Instance, probe_limit: int = 3) -> list[Diff]:
     """Real vs log semiring on every Table-2 DP that takes ``semiring=``."""
     label = _classify(instance.query)
-    engine = _SEMIRING_ENGINES.get(label)
-    if engine is None:
+    if label not in SEMIRING_ENGINES:
         return []
     reference = brute_force_answers(instance.sequence, instance.query)
     diffs: list[Diff] = []
     for answer in pick_probes(instance, reference, probe_limit):
-        args = answer if label == "indexed" else (answer,)
-        real = engine(instance.sequence, instance.query, *args, semiring=REAL)
-        via_log = math.exp(engine(instance.sequence, instance.query, *args, semiring=LOG))
+        real, log = (
+            semiring_confidence(label, instance.sequence, instance.query, answer, semiring)
+            for semiring in (REAL, LOG)
+        )
+        via_log = math.exp(log)
         if not math.isclose(float(real), via_log, rel_tol=1e-6, abs_tol=1e-9):
             diffs.append(
                 Diff(

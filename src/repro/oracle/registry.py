@@ -13,7 +13,7 @@ The seven engine families of the harness matrix:
 engine              implementation
 ==================  =====================================================
 brute-force         possible-world enumeration (the semantic definition)
-log-space           the Theorem-4.6 DP in the ``LOG`` semiring
+log-space           the class's Table-2 DP in the ``LOG`` semiring
 fraction            class-specialized DP over exact ``Fraction`` streams
 specialized         class-specialized DP as Table 2 dispatches it
 runtime             :func:`repro.runtime.executor.plan_confidence`
@@ -54,7 +54,7 @@ from repro.parallel.vectorized import confidence_dense_batch
 from repro.runtime.cache import PlanCache, plan_for
 from repro.runtime.executor import plan_confidence
 from repro.runtime.plan import QueryPlan
-from repro.semiring import LOG
+from repro.semiring import LOG, REAL, Semiring
 from repro.transducers.transducer import Transducer
 
 #: Labels whose queries are plain transducers (vs s-projectors).
@@ -173,19 +173,34 @@ class Engine:
         )
 
 
+#: The Table-2 DP per class label that takes ``semiring=`` (the general
+#: class has none): the log-space engine's classes and the rows of the
+#: metamorphic semiring-swap check.
+SEMIRING_ENGINES: dict[str, Callable[..., Number]] = {
+    "deterministic": confidence_deterministic,
+    "uniform": confidence_uniform,
+    "sprojector": confidence_sprojector,
+    "indexed": confidence_indexed,
+}
+
+
+def semiring_confidence(
+    label: str, sequence: MarkovSequence, query, answer, semiring: Semiring
+) -> Number:
+    """``conf(answer)`` by class ``label``'s DP, carried in ``semiring``.
+
+    Indexed answers ``(o, i)`` pass ``o`` and ``i`` apart.
+    """
+    args = answer if label == "indexed" else (answer,)
+    return SEMIRING_ENGINES[label](sequence, query, *args, semiring=semiring)
+
+
 def _specialized(sequence: MarkovSequence, prepared: Prepared, answer) -> Number:
     """The Table-2 class dispatch, run directly (not through the runtime)."""
     label = prepared.instance.label
     query = prepared.instance.query
-    if label == "deterministic":
-        return confidence_deterministic(sequence, query, answer)
-    if label == "uniform":
-        return confidence_uniform(sequence, query, answer)
-    if label == "sprojector":
-        return confidence_sprojector(sequence, query, answer)
-    if label == "indexed":
-        output, index = answer
-        return confidence_indexed(sequence, query, output, index)
+    if label in SEMIRING_ENGINES:
+        return semiring_confidence(label, sequence, query, answer, REAL)
     # General class: Table 2 dispatches the possible-world oracle.
     return brute_force_confidence(sequence, query, answer)
 
@@ -204,10 +219,9 @@ def _brute_force(prepared: Prepared, answer, context: VerifyContext) -> Number:
 
 
 def _log_semiring(prepared: Prepared, answer, context: VerifyContext) -> float:
+    instance = prepared.instance
     return math.exp(
-        confidence_deterministic(
-            prepared.sequence, prepared.instance.query, answer, semiring=LOG
-        )
+        semiring_confidence(instance.label, prepared.sequence, instance.query, answer, LOG)
     )
 
 
@@ -272,23 +286,17 @@ def _vectorized(prepared: Prepared, answer, context: VerifyContext) -> float:
 
 
 _ALL = frozenset(CLASS_LABELS)
-_DENSE_CLASSES = frozenset({"deterministic"})
 
 #: The registry, in report-column order.
 ENGINES: tuple[Engine, ...] = (
     Engine("brute-force", _ALL, _brute_force, exact=True),
-    Engine(
-        "log-space",
-        _DENSE_CLASSES,
-        _log_semiring,
-        applies=lambda prepared: isinstance(prepared.instance.query, Transducer)
-        and prepared.instance.query.is_deterministic(),
-        rel_tol=1e-6,
-    ),
+    Engine("log-space", frozenset(SEMIRING_ENGINES), _log_semiring, rel_tol=1e-6),
     Engine("fraction", _ALL, _fraction, exact=True),
     Engine("specialized", _ALL, _specialized_engine, exact=True),
     Engine("runtime", _ALL, _runtime, exact=True),
-    Engine("vectorized", _DENSE_CLASSES, _vectorized, applies=_is_dense_eligible),
+    Engine(
+        "vectorized", frozenset({"deterministic"}), _vectorized, applies=_is_dense_eligible
+    ),
     # Applicable exactly where brute force is the only exact option:
     # general-class transducers (Table 2's FP^#P-complete cell).
     Engine(

@@ -5,7 +5,9 @@ compilation) depends only on the query, so a database serving the same
 query shapes over and over should pay it once. The cache is keyed by the
 plan's *structural fingerprint*, so separately constructed but
 structurally identical query objects share one plan — and one set of
-execution counters.
+execution counters. The fingerprint is computed once per query object
+and kept on it (:func:`~repro.runtime.plan.fingerprint`), so a hit on a
+query object seen before costs a dict lookup, not a canonicalisation.
 
 The cache is thread-safe: the ``OrderedDict`` and the hit/miss/eviction
 counters are guarded by a :class:`threading.Lock`, so the process-wide
@@ -47,7 +49,11 @@ class PlanCache:
         self.evictions = 0
 
     def get(self, query) -> QueryPlan:
-        """The cached plan for ``query``'s shape, building it on a miss."""
+        """The cached plan for ``query``'s shape, building it on a miss.
+
+        Every lookup counts as a hit or a miss and refreshes LRU order;
+        only the key itself is memoised, on the query object.
+        """
         key = fingerprint(query)
         with self._lock:
             plan = self._plans.get(key)
@@ -58,7 +64,7 @@ class PlanCache:
                 return plan
             self.misses += 1
             telemetry.count("runtime.plan_cache.misses")
-            plan = QueryPlan.build(query, fingerprint_hint=key)
+            plan = QueryPlan.build(query)
             self._plans[key] = plan
             if len(self._plans) > self.capacity:
                 self._plans.popitem(last=False)

@@ -194,18 +194,34 @@ class StreamingEvaluator:
         ``{a.output: a.confidence for a in evaluate(grown_sequence, query)}``
         exactly — ``Fraction`` inputs give bit-identical rationals.
         """
+        self.advance_to(self._sequence.extended(transition))
+        return self.confidences()
+
+    def advance_to(self, grown: MarkovSequence) -> None:
+        """Absorb the last timestep of an already-validated ``grown`` stream.
+
+        ``grown`` must be the absorbed stream plus one timestep, built by
+        :meth:`MarkovSequence.extended` (which validated it). This is the
+        database's append path: it validates the timestep once and hands
+        the same grown sequence to every attached evaluator, which then
+        share it. Atomic like :meth:`append`: on failure the evaluator is
+        left exactly as it was.
+        """
         previous = self._sequence
-        # ``extended`` validates the timestep before anything mutates;
+        if grown.length != previous.length + 1:
+            raise ReproError(
+                f"cannot advance a {previous.length}-step evaluator to a "
+                f"{grown.length}-step stream"
+            )
         # ``_advance`` only installs the new frontier as its final step,
         # so restoring the sequence on *any* failure restores the whole
         # (sequence, frontier) pair.
-        self._sequence = previous.extended(transition)
+        self._sequence = grown
         try:
-            self._advance(self._sequence.length - 1)
+            self._advance(grown.length - 1)
         except BaseException:
             self._sequence = previous
             raise
-        return self.confidences()
 
     def confidences(self) -> dict:
         """``{answer: conf(answer)}`` for the stream so far.

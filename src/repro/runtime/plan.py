@@ -16,7 +16,8 @@ that does not depend on the Markov sequence:
   unavailable), so tools can display the decision without executing;
 * **fingerprinting** — a structural hash that lets a
   :class:`~repro.runtime.cache.PlanCache` recognise the same query shape
-  across separately constructed objects.
+  across separately constructed objects (computed once per query
+  object and kept on it).
 
 Plans are immutable except for their :class:`~repro.runtime.stats.PlanStats`
 counter block.
@@ -140,7 +141,22 @@ def fingerprint(query) -> str:
     queries whose canonical (minimized) automata coincide. Distinct
     structures always get distinct serializations, so a collision
     requires breaking SHA-256.
+
+    Computed once per query object: query objects are immutable, so the
+    digest is kept in the object's ``_fingerprint`` slot and every later
+    call (each :class:`~repro.runtime.cache.PlanCache` lookup) returns
+    it without canonicalising again.
     """
+    if not isinstance(query, (SProjector, Transducer)):
+        raise TypeError(f"unsupported query type {type(query).__name__}")
+    digest = query._fingerprint
+    if digest is None:
+        digest = query._fingerprint = _structural_digest(query)
+    return digest
+
+
+def _structural_digest(query: SProjector | Transducer) -> str:
+    """SHA-256 over the canonical serialization of ``query``."""
     if isinstance(query, SProjector):
         alphabet_order = _sorted_by_repr(query.alphabet)
         payload = (
@@ -150,15 +166,13 @@ def fingerprint(query) -> str:
             _canonical_dfa(minimize(query.pattern), alphabet_order),
             _canonical_dfa(minimize(query.suffix), alphabet_order),
         )
-    elif isinstance(query, Transducer):
+    else:
         alphabet_order = _sorted_by_repr(query.input_alphabet)
         payload = (
             "transducer",
             tuple(map(repr, alphabet_order)),
             _canonical_transducer(query, alphabet_order),
         )
-    else:
-        raise TypeError(f"unsupported query type {type(query).__name__}")
     return hashlib.sha256(repr(payload).encode()).hexdigest()
 
 
@@ -215,19 +229,13 @@ class QueryPlan:
         return self.shrunk if self.shrunk is not None else self.compiled
 
     @staticmethod
-    def build(
-        query,
-        fingerprint_hint: str | None = None,
-        shrink: bool = True,
-    ) -> "QueryPlan":
+    def build(query, shrink: bool = True) -> "QueryPlan":
         """Classify, minimize, compile, and shrink ``query`` into a plan.
 
-        ``fingerprint_hint`` optionally supplies the structural
-        fingerprint when the caller already computed
-        it; it must equal ``fingerprint(query)``. ``shrink=False`` skips
-        the plan-time trim/push pass (the metamorphic ablation).
+        ``shrink=False`` skips the plan-time trim/push pass (the
+        metamorphic ablation).
         """
-        digest = fingerprint_hint if fingerprint_hint is not None else fingerprint(query)
+        digest = fingerprint(query)
         if isinstance(query, SProjector):
             kind = (
                 PlanKind.INDEXED_SPROJECTOR

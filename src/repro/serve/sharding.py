@@ -102,8 +102,14 @@ class ShardedDatabase:
         return sorted(name for db in self._shards for name in db.streams())
 
     def register_query(self, name: str, query) -> None:
+        """Store a named query, planned now through the shared cache.
+
+        Planning keeps the fingerprint on the stored object, so every
+        read by name is a plan-cache hit that hashes nothing.
+        """
         if not name:
             raise ReproError("query name must be non-empty")
+        self.plan_cache.get(query)
         self._queries[name] = query
 
     def queries(self) -> list[str]:

@@ -44,7 +44,7 @@ class SProjector:
         The suffix-constraint DFA ``E``.
     """
 
-    __slots__ = ("prefix", "pattern", "suffix")
+    __slots__ = ("prefix", "pattern", "suffix", "_fingerprint")
 
     def __init__(self, prefix: DFA, pattern: DFA, suffix: DFA) -> None:
         if not (prefix.alphabet == pattern.alphabet == suffix.alphabet):
@@ -55,6 +55,9 @@ class SProjector:
         self.prefix = prefix
         self.pattern = pattern
         self.suffix = suffix
+        # The plan-cache key, filled by ``repro.runtime.plan.fingerprint``
+        # (the components are never reassigned, so it stays valid).
+        self._fingerprint: str | None = None
 
     @property
     def alphabet(self) -> frozenset[Symbol]:

@@ -69,6 +69,7 @@ class Transducer:
         "_move_cache",
         "_deterministic",
         "_uniformity",
+        "_fingerprint",
     )
 
     def __init__(
@@ -100,6 +101,8 @@ class Transducer:
         # immutable, and plan-time dispatch asks on every read.
         self._deterministic: bool | None = None
         self._uniformity: int | None | _Unset = _UNSET
+        # The plan-cache key, filled by ``repro.runtime.plan.fingerprint``.
+        self._fingerprint: str | None = None
 
     # ------------------------------------------------------------------
     # Component access

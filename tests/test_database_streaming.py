@@ -139,12 +139,14 @@ def test_append_rolls_back_all_evaluators_when_one_fails(rng) -> None:
     before = healthy.confidences()
     before_length = db.stream("tag").length
 
+    # Fail inside the DP layer push, under whichever public method the
+    # database advances its evaluators with.
     boom = RuntimeError("evaluator meltdown")
-    original = poisoned.append
-    poisoned.append = lambda transition: (_ for _ in ()).throw(boom)
+    original = poisoned._advance
+    poisoned._advance = lambda i: (_ for _ in ()).throw(boom)
     with pytest.raises(RuntimeError, match="meltdown"):
         db.append("tag", make_fraction_timestep(ALPHABET, rng))
-    poisoned.append = original
+    poisoned._advance = original
 
     # nothing moved: stream, healthy evaluator, poisoned evaluator
     assert db.stream("tag").length == before_length

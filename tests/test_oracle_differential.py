@@ -26,7 +26,8 @@ def test_coverage_only_records_applicable_engines() -> None:
     result = check_instance(instance)
     names = {name for _label, name in result.coverage}
     assert "vectorized" not in names
-    assert "log-space" not in names
+    assert "approx" not in names
+    assert "log-space" in names
     assert result.engines_run == len(names)
 
 

@@ -31,9 +31,16 @@ def test_matrix_covers_every_cell() -> None:
 
 def test_dense_columns_serve_only_the_deterministic_row() -> None:
     matrix = engine_matrix()
-    for name in ("log-space", "vectorized"):
-        applicable = {label for label in CLASS_LABELS if matrix[(label, name)]}
-        assert applicable == {"deterministic"}, name
+    applicable = {label for label in CLASS_LABELS if matrix[(label, "vectorized")]}
+    assert applicable == {"deterministic"}
+
+
+def test_log_space_column_serves_every_semiring_dp() -> None:
+    # Every Table-2 DP that takes ``semiring=`` runs in LOG; the general
+    # class has no such DP.
+    matrix = engine_matrix()
+    applicable = {label for label in CLASS_LABELS if matrix[(label, "log-space")]}
+    assert applicable == {"deterministic", "uniform", "sprojector", "indexed"}
 
 
 def test_exact_engines_serve_every_class() -> None:
