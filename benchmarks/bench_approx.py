@@ -7,11 +7,13 @@ polynomially many samples. This bench sweeps the 2-DNF counting family
 (``hardness/counting.py`` — genuinely ambiguous products, so the
 union-of-runs correction is live) and records:
 
-* per-size brute-force and FPRAS wall clocks (informational);
+* per-size brute-force and FPRAS wall clocks (informational): the
+  median and interquartile range of :data:`REPEATS` runs each, with
+  the number of cores the process may run on;
 * ``crossover_n`` — the smallest swept world length where the FPRAS is
   faster than brute force (informational: absolute clocks move across
   machines, the crossover's *existence* is the reproduction claim);
-* ``approx_speedup`` — brute/FPRAS at the largest size (**gated** by
+* ``approx_speedup`` — brute/FPRAS medians at the largest size (**gated** by
   ``benchmarks/regress.py``: the exponential/polynomial separation must
   not regress);
 * ``unambiguous_exact`` — on a deterministic gap-family product the
@@ -28,6 +30,7 @@ wrong is a regression, not a win. Run as a script to (re)record the
 
 from __future__ import annotations
 
+import os
 from fractions import Fraction
 
 from repro.approx.fpras import approximate_confidence
@@ -38,6 +41,7 @@ from repro.hardness.gap_instances import mealy_gap_instance
 from benchmarks.shape import (
     REPO_ROOT,
     bench_result,
+    median_iqr,
     print_series,
     timed,
     write_result,
@@ -46,6 +50,8 @@ from benchmarks.shape import (
 EPSILON = 0.25
 DELTA = 0.05
 SEED = 1
+#: Timed runs per size and method; the series reports their median.
+REPEATS = 5
 
 #: Swept 2-DNF sizes (nx = ny = k, so the world length is 2k).
 SIZES = (2, 3, 4, 5, 6)
@@ -63,27 +69,38 @@ def measure(sizes=SIZES) -> dict:
     for k in sizes:
         instance = dnf_instance(k)
         exact: list[Fraction] = []
-        brute_s = timed(
-            lambda: exact.append(
-                brute_force_confidence(
-                    instance.sequence, instance.transducer, instance.answer
+        brute_s, brute_iqr = median_iqr(
+            [
+                timed(
+                    lambda: exact.append(
+                        brute_force_confidence(
+                            instance.sequence, instance.transducer, instance.answer
+                        )
+                    )
                 )
-            )
+                for _ in range(REPEATS)
+            ]
         )
         estimates: list = []
-        fpras_s = timed(
-            lambda: estimates.append(
-                approximate_confidence(
-                    instance.sequence,
-                    instance.transducer,
-                    instance.answer,
-                    epsilon=EPSILON,
-                    delta=DELTA,
-                    seed=SEED,
+        fpras_s, fpras_iqr = median_iqr(
+            [
+                timed(
+                    lambda: estimates.append(
+                        approximate_confidence(
+                            instance.sequence,
+                            instance.transducer,
+                            instance.answer,
+                            epsilon=EPSILON,
+                            delta=DELTA,
+                            seed=SEED,
+                        )
+                    )
                 )
-            )
+                for _ in range(REPEATS)
+            ]
         )
         estimate = estimates[0]
+        assert all(other == estimate for other in estimates), "one seed, one estimate"
         assert estimate.contains(exact[0]), (
             f"FPRAS interval missed the exact referee at k={k}: "
             f"{estimate.interval} vs {float(exact[0])}"
@@ -92,7 +109,9 @@ def measure(sizes=SIZES) -> dict:
             {
                 "n": 2 * k,
                 "brute_s": brute_s,
+                "brute_iqr_s": brute_iqr,
                 "fpras_s": fpras_s,
+                "fpras_iqr_s": fpras_iqr,
                 "samples": estimate.samples,
                 "speedup": brute_s / fpras_s,
             }
@@ -118,23 +137,30 @@ def measure(sizes=SIZES) -> dict:
         "crossover_n": float(crossover) if crossover is not None else -1.0,
         "unambiguous_exact": unambiguous_exact,
         "largest_n": float(rows[-1]["n"]),
+        "cores": len(os.sched_getaffinity(0)),
     }
     for row in rows:
         metrics[f"brute_s_n{row['n']}"] = row["brute_s"]
+        metrics[f"brute_iqr_s_n{row['n']}"] = row["brute_iqr_s"]
         metrics[f"fpras_s_n{row['n']}"] = row["fpras_s"]
+        metrics[f"fpras_iqr_s_n{row['n']}"] = row["fpras_iqr_s"]
     return {"rows": rows, "metrics": metrics}
 
 
 def report(results: dict) -> None:
+    metrics = results["metrics"]
     print_series(
-        f"FPRAS vs brute force (2-DNF family, ε={EPSILON}, δ={DELTA})",
-        ["n", "brute (s)", "fpras (s)", "samples", "speedup"],
+        f"FPRAS vs brute force (2-DNF family, ε={EPSILON}, δ={DELTA}; "
+        f"median and IQR of {REPEATS} runs, {metrics['cores']} cores)",
+        ["n", "brute (s)", "IQR", "fpras (s)", "IQR", "samples", "speedup"],
         [
-            (row["n"], row["brute_s"], row["fpras_s"], row["samples"], row["speedup"])
+            (
+                row["n"], row["brute_s"], row["brute_iqr_s"], row["fpras_s"],
+                row["fpras_iqr_s"], row["samples"], row["speedup"],
+            )
             for row in results["rows"]
         ],
     )
-    metrics = results["metrics"]
     print(f"  crossover at n={metrics['crossover_n']:g}, "
           f"speedup at n={metrics['largest_n']:g}: {metrics['approx_speedup']:.1f}x")
 
@@ -151,7 +177,13 @@ def common_result(sizes=SIZES, results: dict | None = None) -> dict:
         results = measure(sizes)
     return bench_result(
         "approx",
-        {"epsilon": EPSILON, "delta": DELTA, "seed": SEED, "sizes": list(sizes)},
+        {
+            "epsilon": EPSILON,
+            "delta": DELTA,
+            "seed": SEED,
+            "sizes": list(sizes),
+            "repeats": REPEATS,
+        },
         results["metrics"],
     )
 

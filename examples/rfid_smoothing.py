@@ -15,6 +15,7 @@ import random
 
 from repro import HMM, evaluate
 from repro.automata.nfa import NFA
+from repro.transducers.library import identity_mealy
 from repro.transducers.transducer import Transducer
 
 LOCATIONS = ("r1", "r2", "hall", "lab")
@@ -78,9 +79,9 @@ def main() -> None:
         trace = " → ".join(answer.output) if answer.output else "(no movement)"
         print(f"  {trace:<30} confidence = {answer.confidence:.4f}")
 
-    viterbi_path, _ = hmm.viterbi(readings)
+    [decode] = evaluate(mu, identity_mealy(LOCATIONS), order="emax", limit=1)
     print()
-    print("Viterbi decode for comparison:", " ".join(viterbi_path))
+    print("Viterbi decode for comparison:", " ".join(decode.output))
 
 
 if __name__ == "__main__":

@@ -39,8 +39,10 @@ from dataclasses import dataclass
 
 from repro import telemetry
 from repro.approx.product import AnswerProduct, state_key
+from repro.confidence.layered import backward, forward
 from repro.errors import ReproError
 from repro.markov.sequence import MarkovSequence
+from repro.semiring import BOOLEAN, REAL
 from repro.transducers.sprojector import IndexedSProjector, SProjector
 from repro.transducers.transducer import Transducer
 
@@ -146,55 +148,28 @@ def _compile_query(query) -> Transducer:
 
 
 def _run_weight_layers(sequence: MarkovSequence, product: AnswerProduct):
-    """Backward accepting-run weights over (symbol, product-state) pairs.
+    """Backward accepting-run weights over (symbol, product-state) cells.
 
-    ``back[i][(s, u)]`` is the expected number of accepting completions
-    given the world has symbol ``s`` at position ``i`` (0-based) with
-    the product in state ``u``. Returns ``(back, sigma)`` where sigma is
-    the total run weight Σ = E[#accepting runs], exact (Fraction) when
-    the sequence is exact. Zero-weight entries are dropped so sampling
-    never proposes a dead end. All dict orders are deterministic
-    (insertion order from the sequence's own dicts and sorted product
-    moves), keeping the sampler reproducible across processes.
+    ``back[i][(s, u)]`` (``1 <= i <= n``) is the expected number of
+    accepting completions given the world has symbol ``s`` at position
+    ``i`` with the product in state ``u``; ``back[0]`` holds the virtual
+    start cell ``(None, initial)``, whose weight is the total run weight
+    Σ = E[#accepting runs]. Returns ``(back, sigma)``, exact (Fraction)
+    when the sequence is exact.
+
+    A BOOLEAN forward pass names the reachable cells of each layer, and
+    the backward pass runs over them only; zero-weight cells are dropped
+    so sampling never proposes a dead end. All dict orders are
+    deterministic (insertion order from the sequence's own dicts and
+    sorted product moves), keeping the sampler reproducible across
+    processes.
     """
-    n = sequence.length
-    # Forward frontiers: which (symbol, state) pairs are reachable.
-    # Dicts double as ordered sets — no hash-order nondeterminism.
-    front: list[dict] = [dict()]
-    for symbol, prob in sequence.initial_support():
-        for target in product.moves(product.initial, symbol):
-            front[0].setdefault((symbol, target), None)
-    for i in range(n - 1):
-        grown: dict = {}
-        for symbol, state in front[i]:
-            for successor, prob in sequence.successors(i + 1, symbol):
-                for target in product.moves(state, successor):
-                    grown.setdefault((successor, target), None)
-        front.append(grown)
-
-    back: list[dict] = [dict() for _ in range(n)]
-    for symbol, state in front[n - 1]:
-        if product.is_accepting(state):
-            back[n - 1][(symbol, state)] = 1
-    for i in range(n - 2, -1, -1):
-        layer = back[i + 1]
-        for symbol, state in front[i]:
-            weight = 0
-            for successor, prob in sequence.successors(i + 1, symbol):
-                for target in product.moves(state, successor):
-                    entry = layer.get((successor, target))
-                    if entry is not None:
-                        weight += prob * entry
-            if weight:
-                back[i][(symbol, state)] = weight
-
-    sigma = 0
-    for symbol, prob in sequence.initial_support():
-        for target in product.moves(product.initial, symbol):
-            entry = back[0].get((symbol, target))
-            if entry is not None:
-                sigma += prob * entry
-    return back, sigma
+    start = (product.initial,)
+    reachable = [{(None, *start): True}]
+    reachable.extend(forward(sequence, start, product.advance, BOOLEAN))
+    final = {cell: 1 for cell in reachable[-1] if product.is_accepting(cell[1])}
+    back = backward(sequence, final, reachable[:-1], product.advance)
+    return back, back[0].get((None, *start), 0)
 
 
 def _weighted_pick(choices: list, total: float, rng: random.Random):
@@ -211,60 +186,46 @@ def _weighted_pick(choices: list, total: float, rng: random.Random):
 class _PairSampler:
     """Draw accepting (world, run) pairs proportionally to run weight.
 
-    The forward walk draws each next (symbol, state) pair with
+    The forward walk draws each next (symbol, state) cell with
     probability transition-prob × backward-weight, i.e. the exact
     conditional of the run-weight distribution — self-reducible
-    sampling over the same DP that computed Σ. Per-cell float choice
-    lists are precomputed lazily and cached.
+    sampling over the same DP that computed Σ. The walk starts in the
+    virtual cell of ``back[0]``. Per-cell float choice lists are
+    precomputed lazily and cached.
     """
 
     def __init__(self, sequence: MarkovSequence, product: AnswerProduct, back: list[dict]):
-        self._sequence = sequence
+        initial, transitions = REAL.lift_sequence(sequence)
+        self._rows = ({None: initial}, *transitions)
         self._product = product
         self._back = back
-        self._first: list | None = None
-        self._first_total = 0.0
         self._choices: dict[tuple, tuple[list, float]] = {}
 
-    def _first_choices(self):
-        if self._first is None:
-            layer = self._back[0]
-            choices = []
-            for symbol, prob in self._sequence.initial_support():
-                for target in self._product.moves(self._product.initial, symbol):
-                    entry = layer.get((symbol, target))
-                    if entry is not None:
-                        choices.append(((symbol, target), float(prob * entry)))
-            self._first = choices
-            self._first_total = sum(weight for _, weight in choices)
-        return self._first, self._first_total
-
-    def _step_choices(self, i: int, symbol, state):
-        key = (i, symbol, state)
+    def _step_choices(self, i: int, cell: tuple):
+        key = (i, cell)
         cached = self._choices.get(key)
         if cached is None:
             layer = self._back[i + 1]
             choices = []
-            for successor, prob in self._sequence.successors(i + 1, symbol):
-                for target in self._product.moves(state, successor):
-                    entry = layer.get((successor, target))
+            for target, prob in self._rows[i].get(cell[0], {}).items():
+                for successor in self._product.advance(cell, target):
+                    entry = layer.get(successor)
                     if entry is not None:
-                        choices.append(((successor, target), float(prob * entry)))
+                        choices.append((successor, float(prob * entry)))
             cached = (choices, sum(weight for _, weight in choices))
             self._choices[key] = cached
         return cached
 
     def sample(self, rng: random.Random) -> tuple[tuple, tuple]:
         """One (world, run) pair; the world always has ≥ 1 accepting run."""
-        choices, total = self._first_choices()
-        symbol, state = _weighted_pick(choices, total, rng)
-        world = [symbol]
-        run = [state]
-        for i in range(self._sequence.length - 1):
-            choices, total = self._step_choices(i, symbol, state)
-            symbol, state = _weighted_pick(choices, total, rng)
-            world.append(symbol)
-            run.append(state)
+        cell = (None, self._product.initial)
+        world = []
+        run = []
+        for i in range(len(self._rows)):
+            choices, total = self._step_choices(i, cell)
+            cell = _weighted_pick(choices, total, rng)
+            world.append(cell[0])
+            run.append(cell[1])
         return tuple(world), tuple(run)
 
 

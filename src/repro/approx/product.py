@@ -75,6 +75,11 @@ class AnswerProduct:
             self._moves[key] = cached
         return cached
 
+    def advance(self, cell: tuple, symbol: Symbol) -> list[tuple]:
+        """The layered-DP advance over ``(symbol, product state)`` cells:
+        the cells ``(symbol, target)`` for each move of ``cell[1]``."""
+        return [(symbol, target) for target in self.moves(cell[1], symbol)]
+
     def is_accepting(self, state: ProductState) -> bool:
         q, emitted = state
         return emitted == self._length and q in self.transducer.nfa.accepting

@@ -1,4 +1,4 @@
-"""The one forward recursion behind every positive Table-2 result.
+"""The one layer recursion behind every positive Table-2 result.
 
 Theorems 4.6, 4.8, 5.5 and 5.8 are all forward dynamic programs over a
 layered product graph. A cell of layer ``i`` is a tuple whose first
@@ -16,14 +16,20 @@ row is the initial distribution, so the first layer needs no special
 case. Each engine supplies its ``advance`` and reads out the last layer;
 ``docs/ALGORITHMS.md`` lists them side by side.
 
+The same recursion also runs backward, in pull form (:func:`step_back`,
+:func:`backward`): a cell of layer ``i`` collects the weight of the
+cells of layer ``i + 1`` it reaches. Theorem 5.8's suffix weights, the
+FPRAS's run weights and the HMM translation's backward messages are
+callers of it.
+
 The step is linear in the layer, so consecutive steps compose
 associatively — the operator Nuel & Dumas build long-sequence segment
-products from.
+products from, forward and backward.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Hashable, Iterable, Iterator, Mapping
+from collections.abc import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 from typing import Any
 
 from repro.markov.sequence import MarkovSequence
@@ -38,6 +44,11 @@ Rows = Mapping[Hashable, Mapping[Hashable, Any]]
 #: ``advance(cell, target)``: the cells a cell moves to when the sequence
 #: steps to node ``target`` (none when the move dies).
 Advance = Callable[[Cell, Hashable], Iterable[Cell]]
+
+
+def node_advance(cell: Cell, target: Hashable) -> tuple[Cell]:
+    """The advance of a cell that is the Markov node alone: ``(target,)``."""
+    return ((target,),)
 
 
 def automaton_advance(move: Callable[[Any, Hashable], Any]) -> Advance:
@@ -107,3 +118,62 @@ def final_layer(
     for layer in forward(sequence, start, advance, semiring):
         pass
     return layer
+
+
+def step_back(
+    layer: Mapping[Cell, Any],
+    rows: Rows,
+    cells: Iterable[Cell],
+    advance: Advance,
+    semiring: Semiring[Any] = REAL,
+) -> Layer:
+    """The layer before ``layer``, over ``cells``, pulled across ``rows``.
+
+    The pull-form twin of :func:`step`: each cell ``c`` of ``cells``
+    gets ``⊕ rows[c[0]][t] ⊗ layer[c']`` over every row entry
+    ``c[0] -> t`` and every ``c'`` that ``advance(c, t)`` yields. Cells
+    absent from ``layer`` count as zero, and cells whose sum is zero are
+    left out, so every kept cell reaches a nonzero cell of ``layer``.
+    Cells and row entries are visited in order, as in :func:`step`.
+    """
+    add, mul, is_zero = semiring.add, semiring.mul, semiring.is_zero
+    prev: Layer = {}
+    for cell in cells:
+        row = rows.get(cell[0])
+        if row is None:
+            continue
+        total = semiring.zero
+        for target, weight in row.items():
+            for key in advance(cell, target):
+                value = layer.get(key)
+                if value is not None:
+                    total = add(total, mul(weight, value))
+        if not is_zero(total):
+            prev[cell] = total
+    return prev
+
+
+def backward(
+    sequence: MarkovSequence,
+    final: Mapping[Cell, Any],
+    cells: Sequence[Iterable[Cell]],
+    advance: Advance,
+    semiring: Semiring[Any] = REAL,
+) -> list[Layer]:
+    """Layers ``0 .. n`` of the backward DP that ends in ``final``.
+
+    ``final`` is layer ``n``: the weight each cell of position ``n``
+    contributes. ``cells[i]`` names the cells of layer ``i`` for
+    ``i < n``; layer ``i`` pulls layer ``i + 1`` through transition
+    ``i`` (:func:`step_back`), and layer 0 pulls layer 1 through the
+    initial row, so a virtual cell ``(None, *start)`` in ``cells[0]``
+    reads out the total weight. The sequence is lifted into
+    ``semiring`` once.
+    """
+    initial, transitions = semiring.lift_sequence(sequence)
+    layers: list[Layer] = [dict(final)]
+    all_rows = ({None: initial}, *transitions)
+    for i in range(sequence.length - 1, -1, -1):
+        layers.append(step_back(layers[-1], all_rows[i], cells[i], advance, semiring))
+    layers.reverse()
+    return layers

@@ -29,6 +29,7 @@ from repro.confidence.indexed import (
     _confidence_empty_match,
     backward_suffix_weights,
     forward_prefix_weights,
+    start_weights,
 )
 from repro.semiring import REAL
 from repro.transducers.sprojector import SProjector
@@ -70,7 +71,6 @@ def build_answer_dag(sequence: MarkovSequence, projector: SProjector) -> Weighte
             "s-projector alphabet does not match the Markov sequence alphabet"
         )
     pattern = projector.pattern
-    prefix = projector.prefix
     suffix = projector.suffix
     n = sequence.length
 
@@ -82,18 +82,11 @@ def build_answer_dag(sequence: MarkovSequence, projector: SProjector) -> Weighte
     dag.add_node(SINK)
 
     # Start edges: match begins at position i with first symbol sigma.
-    prefix_empty_ok = prefix.initial in prefix.accepting
+    weights = REAL.lift_sequence(sequence)
     for i in range(1, n + 1):
+        starts = start_weights(projector, i, weights, forward)
         for sigma in sequence.symbols:
-            if i == 1:
-                weight = sequence.initial_prob(sigma) if prefix_empty_ok else 0
-            else:
-                weight = 0
-                for (tau, state), mass in forward[i - 1].items():
-                    if state in prefix.accepting:
-                        step = sequence.transition_prob(i - 1, tau, sigma)
-                        if step != 0:
-                            weight = weight + mass * step
+            weight = starts.get(sigma, 0)
             if weight != 0:
                 a_state = pattern.step(pattern.initial, sigma)
                 dag.add_edge(
@@ -123,7 +116,6 @@ def build_answer_dag(sequence: MarkovSequence, projector: SProjector) -> Weighte
 
     # Empty-match answers (epsilon, i), present only if epsilon in L(A).
     if pattern.initial in pattern.accepting:
-        weights = REAL.lift_sequence(sequence)
         for i in range(1, n + 2):
             weight = _confidence_empty_match(
                 sequence, projector, i, REAL, weights, forward, backward

@@ -43,6 +43,14 @@ class StreamAnswer:
     answer: Answer
 
 
+def canonical_query(query):
+    """``query`` round-tripped through the interchange format: the form
+    a durable database plans (see ``MarkovStreamDatabase._canonical_query``)."""
+    from repro.io.json_format import query_from_dict, query_to_dict
+
+    return query_from_dict(query_to_dict(query))
+
+
 class MarkovStreamDatabase:
     """A named collection of Markov sequences with a query interface.
 
@@ -153,9 +161,7 @@ class MarkovStreamDatabase:
         """
         if self._store is None:
             return query
-        from repro.io.json_format import query_from_dict, query_to_dict
-
-        return query_from_dict(query_to_dict(query))
+        return canonical_query(query)
 
     @property
     def plan_cache(self) -> PlanCache:

@@ -6,8 +6,7 @@ an HMM and a sequence of observations can be efficiently translated into a
 Markov sequence" (Section 1, with details deferred to the extended
 version). This module supplies that substrate end to end:
 
-* a standard discrete HMM with scaled forward/backward, Viterbi decoding,
-  likelihood and posterior marginals;
+* a standard discrete HMM and sampling from it;
 * :meth:`HMM.to_markov_sequence`, the translation: conditioned on an
   observation string ``o_1 ... o_n``, the hidden-state process is a
   time-inhomogeneous Markov chain whose step-``i`` row is
@@ -22,10 +21,10 @@ version). This module supplies that substrate end to end:
 
 from __future__ import annotations
 
-import math
 import random
 from collections.abc import Hashable, Mapping, Sequence
 
+from repro.confidence.layered import node_advance, step_back
 from repro.errors import InvalidDistributionError, InvalidMarkovSequenceError
 from repro.markov.sequence import MarkovSequence
 
@@ -86,136 +85,8 @@ class HMM:
         if missing:
             raise InvalidDistributionError(f"states {missing!r} have no emission row")
 
-    # ------------------------------------------------------------------
-    # Inference
-    # ------------------------------------------------------------------
-
     def _emit(self, state: State, obs: Observation) -> float:
         return self.emission.get(state, {}).get(obs, 0.0)
-
-    def forward(self, observations: Sequence[Observation]) -> tuple[list[dict[State, float]], float]:
-        """Scaled forward pass.
-
-        Returns ``(alphas, log_likelihood)`` where ``alphas[i]`` is the
-        filtering distribution ``Pr(S_{i+1} = s | o_1 .. o_{i+1})``.
-        """
-        if not observations:
-            raise InvalidMarkovSequenceError("need at least one observation")
-        log_likelihood = 0.0
-        current = {
-            s: self.initial.get(s, 0.0) * self._emit(s, observations[0])
-            for s in self.states
-        }
-        scale = sum(current.values())
-        if scale == 0:
-            return [dict.fromkeys(self.states, 0.0)] * len(observations), -math.inf
-        current = {s: p / scale for s, p in current.items()}
-        log_likelihood += math.log(scale)
-        alphas = [current]
-        for obs in observations[1:]:
-            nxt: dict[State, float] = {}
-            for target in self.states:
-                emit = self._emit(target, obs)
-                if emit == 0.0:
-                    nxt[target] = 0.0
-                    continue
-                mass = sum(
-                    prob * self.transition[source].get(target, 0.0)
-                    for source, prob in current.items()
-                    if prob > 0.0
-                )
-                nxt[target] = mass * emit
-            scale = sum(nxt.values())
-            if scale == 0:
-                padding = [dict.fromkeys(self.states, 0.0)] * (
-                    len(observations) - len(alphas)
-                )
-                return alphas + padding, -math.inf
-            current = {s: p / scale for s, p in nxt.items()}
-            log_likelihood += math.log(scale)
-            alphas.append(current)
-        return alphas, log_likelihood
-
-    def backward(self, observations: Sequence[Observation]) -> list[dict[State, float]]:
-        """Per-level-normalized backward messages.
-
-        ``betas[i][s]`` is proportional (within level ``i``) to
-        ``Pr(o_{i+2} .. o_n | S_{i+1} = s)``; the last level is all ones.
-        """
-        n = len(observations)
-        betas: list[dict[State, float]] = [dict.fromkeys(self.states, 1.0)]
-        for i in range(n - 2, -1, -1):
-            obs = observations[i + 1]
-            level: dict[State, float] = {}
-            for source in self.states:
-                level[source] = sum(
-                    self.transition[source].get(target, 0.0)
-                    * self._emit(target, obs)
-                    * betas[0][target]
-                    for target in self.states
-                )
-            top = max(level.values())
-            if top > 0:
-                level = {s: v / top for s, v in level.items()}
-            betas.insert(0, level)
-        return betas
-
-    def log_likelihood(self, observations: Sequence[Observation]) -> float:
-        """``log Pr(o_1 .. o_n)``."""
-        _alphas, loglik = self.forward(observations)
-        return loglik
-
-    def posterior_marginals(
-        self, observations: Sequence[Observation]
-    ) -> list[dict[State, float]]:
-        """Smoothed marginals ``Pr(S_i = s | o_1 .. o_n)`` per position."""
-        alphas, loglik = self.forward(observations)
-        if loglik == -math.inf:
-            raise InvalidMarkovSequenceError("observations have zero likelihood")
-        betas = self.backward(observations)
-        marginals: list[dict[State, float]] = []
-        for alpha, beta in zip(alphas, betas):
-            level = {s: alpha[s] * beta[s] for s in self.states}
-            total = sum(level.values())
-            marginals.append({s: v / total for s, v in level.items()})
-        return marginals
-
-    def viterbi(self, observations: Sequence[Observation]) -> tuple[tuple[State, ...], float]:
-        """Most likely hidden path and its log probability (joint with obs)."""
-        if not observations:
-            raise InvalidMarkovSequenceError("need at least one observation")
-
-        def log(x: float) -> float:
-            return math.log(x) if x > 0 else -math.inf
-
-        scores = {
-            s: log(self.initial.get(s, 0.0)) + log(self._emit(s, observations[0]))
-            for s in self.states
-        }
-        back: list[dict[State, State]] = []
-        for obs in observations[1:]:
-            nxt: dict[State, float] = {}
-            pointers: dict[State, State] = {}
-            for target in self.states:
-                emit = log(self._emit(target, obs))
-                best_source, best_score = None, -math.inf
-                for source in self.states:
-                    score = scores[source] + log(self.transition[source].get(target, 0.0))
-                    if score > best_score:
-                        best_source, best_score = source, score
-                nxt[target] = best_score + emit
-                if best_source is not None:
-                    pointers[target] = best_source
-            scores = nxt
-            back.append(pointers)
-        final = max(self.states, key=lambda s: scores[s])
-        if scores[final] == -math.inf:
-            raise InvalidMarkovSequenceError("observations have zero likelihood")
-        path = [final]
-        for pointers in reversed(back):
-            path.append(pointers[path[-1]])
-        path.reverse()
-        return tuple(path), scores[final]
 
     # ------------------------------------------------------------------
     # Generation
@@ -260,13 +131,35 @@ class HMM:
         (up to float rounding). Rows for hidden states that cannot explain
         the remaining observations carry an arbitrary valid distribution (a
         point mass); such states have posterior probability zero, so the
-        choice does not affect the distribution.
+        choice does not affect the distribution. Smoothed marginals are
+        ``mu.marginals()``, and the most likely hidden path (the Viterbi
+        decode) is the E_max top answer of the identity transducer on
+        ``mu``.
         """
-        n = len(observations)
-        alphas, loglik = self.forward(observations)
-        if loglik == -math.inf:
-            raise InvalidMarkovSequenceError("observations have zero likelihood")
-        betas = self.backward(observations)
+        if not observations:
+            raise InvalidMarkovSequenceError("need at least one observation")
+        # The step-i rows T(s, t) * Em(t, o_{i+1}), and the backward
+        # messages over them: betas[i][(s,)] is proportional (within
+        # level i) to Pr(o_{i+2} .. o_n | S_{i+1} = s), zeros left out.
+        # Each level is one step_back, scaled by its largest entry so
+        # long inputs do not underflow.
+        cells = [(state,) for state in self.states]
+        rows = [
+            {
+                source: {
+                    target: self.transition[source].get(target, 0.0) * self._emit(target, obs)
+                    for target in self.states
+                }
+                for source in self.states
+            }
+            for obs in observations[1:]
+        ]
+        betas = [dict.fromkeys(cells, 1.0)]
+        for step in reversed(rows):
+            level = step_back(betas[-1], step, cells, node_advance)
+            top = max(level.values(), default=0.0)
+            betas.append({cell: value / top for cell, value in level.items()})
+        betas.reverse()
 
         fallback = self.states[0]
 
@@ -280,21 +173,19 @@ class HMM:
             row[top] += drift
             return row
 
-        initial = normalized(
-            {s: alphas[0][s] * betas[0][s] for s in self.states}
-        )
+        def posterior(weights: dict[State, float], beta: dict[tuple, float]) -> dict[State, float]:
+            return {t: w * beta.get((t,), 0.0) for t, w in weights.items()}
 
-        transitions: list[dict[State, dict[State, float]]] = []
-        for i in range(n - 1):
-            obs = observations[i + 1]
-            step: dict[State, dict[State, float]] = {}
-            for source in self.states:
-                row = {
-                    target: self.transition[source].get(target, 0.0)
-                    * self._emit(target, obs)
-                    * betas[i + 1][target]
-                    for target in self.states
-                }
-                step[source] = normalized(row)
-            transitions.append(step)
-        return MarkovSequence(self.states, initial, transitions)
+        first = {
+            s: self.initial.get(s, 0.0) * self._emit(s, observations[0])
+            for s in self.states
+        }
+        initial = posterior(first, betas[0])
+        if sum(initial.values()) == 0:
+            raise InvalidMarkovSequenceError("observations have zero likelihood")
+        transitions = [
+            {source: normalized(posterior(row, beta)) for source, row in step.items()}
+            for step, beta in zip(rows, betas[1:])
+        ]
+        return MarkovSequence(self.states, normalized(initial), transitions)
+

@@ -20,7 +20,7 @@ import hashlib
 from collections.abc import Iterable, Mapping
 
 from repro.errors import ReproError
-from repro.lahar.database import MarkovStreamDatabase, StreamAnswer
+from repro.lahar.database import MarkovStreamDatabase, StreamAnswer, canonical_query
 from repro.markov.sequence import MarkovSequence, Number
 from repro.runtime.cache import PlanCache
 from repro.runtime.executor import batch_confidence, batch_top_k
@@ -35,23 +35,38 @@ def shard_of(stream_id: str, shards: int) -> int:
     return int.from_bytes(digest.digest(), "big") % shards
 
 
+class _Shard(MarkovStreamDatabase):
+    """One shard: it plans the query objects it is handed as they are.
+
+    :class:`ShardedDatabase` resolves and canonicalises every query
+    before it delegates (``_planned``), so a second round trip here
+    would only rebuild an equal object and pay its fingerprint again.
+    """
+
+    def _canonical_query(self, query):
+        return query
+
+
 class ShardedDatabase:
     """``shards`` Markov-stream databases behind one stream namespace.
 
     The catalog API mirrors :class:`MarkovStreamDatabase`; every call is
     routed to the owning shard by :func:`shard_of`. Queries are kept in
     a service-level catalog (they are not stream-local), resolved to
-    their objects before delegation.
+    their objects before delegation. With a store attached, every read
+    plans a query in its serialized form: a registered query is put in
+    that form once, at registration, and any other object on each call.
     """
 
     def __init__(self, shards: int = 1, plan_cache: PlanCache | None = None) -> None:
         if shards < 1:
             raise ReproError("shard count must be at least 1")
         self.plan_cache = plan_cache if plan_cache is not None else PlanCache()
-        self._shards = [
-            MarkovStreamDatabase(plan_cache=self.plan_cache) for _ in range(shards)
-        ]
+        self._shards = [_Shard(plan_cache=self.plan_cache) for _ in range(shards)]
         self._queries: dict[str, object] = {}
+        #: The registered query objects (queries hash by identity).
+        self._registered: set = set()
+        self._store = None
 
     def attach_store(self, store) -> None:
         """Journal every shard's mutations through one shared store.
@@ -60,6 +75,7 @@ class ShardedDatabase:
         their records in one totally ordered log (the server's event
         loop is the single writer).
         """
+        self._store = store
         for db in self._shards:
             db.attach_store(store)
 
@@ -102,15 +118,20 @@ class ShardedDatabase:
         return sorted(name for db in self._shards for name in db.streams())
 
     def register_query(self, name: str, query) -> None:
-        """Store a named query, planned now through the shared cache.
+        """Store a named query, canonical and planned now through the
+        shared cache.
 
         Planning keeps the fingerprint on the stored object, so every
-        read by name is a plan-cache hit that hashes nothing.
+        read by name is a plan-cache hit that serializes and hashes
+        nothing.
         """
         if not name:
             raise ReproError("query name must be non-empty")
+        if self._store is not None:
+            query = canonical_query(query)
         self.plan_cache.get(query)
         self._queries[name] = query
+        self._registered = set(self._queries.values())
 
     def queries(self) -> list[str]:
         return sorted(self._queries)
@@ -124,6 +145,22 @@ class ShardedDatabase:
                 raise ReproError(f"unknown query {query!r}") from None
         return query
 
+    def _planned(self, query):
+        """The object the shards and the shared cache plan for ``query``
+        (object or name).
+
+        A registered query is used as stored. With a store attached, any
+        other object is put in its serialized form, as
+        ``MarkovStreamDatabase._canonical_query`` requires: the cache
+        keeps the first plan built per fingerprint, so one read of the
+        raw object would decide the frontier keys of every evaluator
+        attached after it.
+        """
+        query = self.resolve_query(query)
+        if self._store is None or query in self._registered:
+            return query
+        return canonical_query(query)
+
     # ------------------------------------------------------------------
     # Streaming writes and reads
     # ------------------------------------------------------------------
@@ -135,9 +172,7 @@ class ShardedDatabase:
         return self.shard_for(name).append(name, transition)
 
     def streaming_evaluator(self, name: str, query) -> StreamingEvaluator:
-        return self.shard_for(name).streaming_evaluator(
-            name, self.resolve_query(query)
-        )
+        return self.shard_for(name).streaming_evaluator(name, self._planned(query))
 
     def install_evaluator(self, name: str, evaluator: StreamingEvaluator) -> None:
         """Adopt a recovered evaluator on the shard owning ``name``."""
@@ -154,9 +189,7 @@ class ShardedDatabase:
         return dict(self._queries)
 
     def query(self, stream: str, query, **options):
-        return self.shard_for(stream).query(
-            stream, self.resolve_query(query), **options
-        )
+        return self.shard_for(stream).query(stream, self._planned(query), **options)
 
     def corpus(self, names: Iterable[str] | None = None) -> dict[str, MarkovSequence]:
         """A ``{name: sequence}`` snapshot of the (selected) streams."""
@@ -172,7 +205,7 @@ class ShardedDatabase:
         allow_exponential: bool = False,
     ) -> list[StreamAnswer]:
         """Globally best ``k`` answers across shards, merged by score."""
-        plan = self.plan_cache.get(self.resolve_query(query))
+        plan = self.plan_cache.get(self._planned(query))
         merged = batch_top_k(
             plan,
             self.corpus(streams),
@@ -190,7 +223,7 @@ class ShardedDatabase:
         allow_exponential: bool = True,
     ) -> dict[str, Number]:
         """One output's confidence on every (selected) stream."""
-        plan = self.plan_cache.get(self.resolve_query(query))
+        plan = self.plan_cache.get(self._planned(query))
         return batch_confidence(
             plan, self.corpus(streams), output, allow_exponential=allow_exponential
         )

@@ -10,7 +10,14 @@ from fractions import Fraction
 import pytest
 
 from repro import telemetry
-from repro.approx.fpras import ApproxConfidence, approximate_confidence, dklr_target
+from repro.approx.fpras import (
+    ApproxConfidence,
+    _PairSampler,
+    _run_weight_layers,
+    approximate_confidence,
+    dklr_target,
+)
+from repro.approx.product import AnswerProduct
 from repro.confidence.brute_force import brute_force_confidence
 from repro.errors import AlphabetMismatchError, ReproError
 from repro.hardness.counting import two_dnf_counting_instance
@@ -275,6 +282,64 @@ def test_explicit_rng_is_honoured() -> None:
         rng=random.Random(5),
     )
     assert by_seed == by_rng
+
+
+# ------------------------------------------------------- pinned sample stream
+#
+# Literal values recorded from the hand-typed run-weight DP that preceded
+# ``layered.backward``. The run-weight DP must keep the exact Σ and the
+# dict orders the sampler walks, so one seed keeps giving one sample
+# stream.
+
+PINNED_2DNF = {
+    1: {"estimate": 0.489723657614867, "low": 0.4452033251044245,
+        "high": 0.5441373973498522, "samples": 1787},
+    2: {"estimate": 0.49054718394493696, "low": 0.4459519854044881,
+        "high": 0.5450524266054855, "samples": 1784},
+    3: {"estimate": 0.5058590613628714, "low": 0.4598718739662467,
+        "high": 0.5620656237365238, "samples": 1730},
+}
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED_2DNF))
+def test_ambiguous_sample_stream_is_pinned(seed: int) -> None:
+    instance, _ = _ambiguous_case()
+    product = AnswerProduct(instance.transducer, instance.answer)
+    _back, sigma = _run_weight_layers(instance.sequence, product)
+    assert sigma == Fraction(3, 4) and isinstance(sigma, Fraction)
+    estimate = approximate_confidence(
+        instance.sequence, instance.transducer, instance.answer,
+        seed=seed, exact_shortcut=False,
+    )
+    assert estimate.describe() == {
+        **PINNED_2DNF[seed],
+        "epsilon": 0.1, "delta": 0.05, "successes": 1167, "run_weight": 0.75,
+        "certified": True, "method": "dklr",
+    }
+
+
+def test_float_gap_sample_stream_is_pinned() -> None:
+    gap = projector_gap_instance(4)
+    sequence = gap.sequence.as_float()
+    product = AnswerProduct(gap.query, gap.best_answer)
+    back, sigma = _run_weight_layers(sequence, product)
+    assert sigma == 0.34560000000000013
+    rng = random.Random(5)
+    sampler = _PairSampler(sequence, product, back)
+    worlds = [sampler.sample(rng)[0] for _ in range(4)]
+    assert worlds == [
+        ("c", "c", "c", "a"), ("c", "d", "a", "c"),
+        ("d", "c", "d", "a"), ("b", "a", "c", "c"),
+    ]
+    estimate = approximate_confidence(
+        sequence, gap.query, gap.best_answer, seed=1, exact_shortcut=False
+    )
+    assert estimate.describe() == {
+        "estimate": 0.3455550556756636, "low": 0.31414095970514866,
+        "high": 0.34560000000000013, "epsilon": 0.1, "delta": 0.05,
+        "samples": 1167, "successes": 1167, "run_weight": 0.34560000000000013,
+        "certified": True, "method": "dklr",
+    }
 
 
 # ---------------------------------------------------------------- telemetry

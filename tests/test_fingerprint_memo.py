@@ -124,6 +124,44 @@ def test_registered_query_reads_canonicalise_nothing(canonicalisations) -> None:
     assert server.db.plan_cache.hits == 2
 
 
+def test_durable_registered_query_reads_canonicalise_nothing(
+    canonicalisations, tmp_path
+) -> None:
+    # A durable database plans the serialized form of every query; a
+    # registered one is put in that form once, so reads by name (``query``
+    # as well as ``confidence``) neither re-serialize nor re-hash it.
+    query = collapse()
+    sequence = make_fraction_sequence(ALPHABET, 5, random.Random(7))
+    server = ReproServer(shards=2, data_dir=str(tmp_path / "data"), fsync=False)
+
+    async def call(cmd: str, **params) -> dict:
+        frame = json.dumps({"id": 1, "cmd": cmd, "params": params}).encode()
+        response = await server._dispatch(None, frame + b"\n")
+        assert response["ok"], response
+        return response["result"]
+
+    async def scenario() -> tuple[list, list, int]:
+        await call("register_stream", name="s", sequence=sequence_to_dict(sequence))
+        await call("register_query", name="q", query=query_to_dict(query))
+        registered = dict(canonicalisations)
+        answers = [
+            await call("query", stream="s", query="q", order="unranked") for _ in range(3)
+        ]
+        reads = [
+            await call("confidence", stream="s", query="q", output=["X", "Y"])
+            for _ in range(2)
+        ]
+        await server.shutdown()
+        return answers, reads, canonicalisations["transducer"] - registered["transducer"]
+
+    answers, reads, canonicalised_by_reads = asyncio.run(scenario())
+    assert canonicalised_by_reads == 0
+    want = compute_confidence(sequence, query, ("X", "Y"), cache=PlanCache())
+    assert [decode_value(read["confidence"]) for read in reads] == [want, want]
+    assert answers[0] == answers[1] == answers[2]
+    assert {"X", "Y"} <= {symbol for answer in answers[0]["answers"] for symbol in answer["output"]}
+
+
 def test_structurally_equal_transducers_share_one_plan() -> None:
     cache = PlanCache()
     first, second = collapse(), collapse()

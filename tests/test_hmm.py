@@ -9,8 +9,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import evaluate
 from repro.errors import InvalidDistributionError, InvalidMarkovSequenceError
 from repro.markov.hmm import HMM
+from repro.transducers.library import identity_mealy
 
 
 def make_weather_hmm() -> HMM:
@@ -53,27 +55,11 @@ def brute_joint(hmm: HMM, hidden, observations) -> float:
     return prob
 
 
-def test_forward_likelihood_matches_brute() -> None:
-    hmm = make_weather_hmm()
-    obs = ("3", "1", "2")
-    brute = sum(
-        brute_joint(hmm, hidden, obs)
-        for hidden in itertools.product(hmm.states, repeat=len(obs))
-    )
-    assert math.isclose(math.exp(hmm.log_likelihood(obs)), brute)
-
-
-def test_forward_alphas_are_filtering_distributions() -> None:
-    hmm = make_weather_hmm()
-    alphas, _ = hmm.forward(("3", "1"))
-    for level in alphas:
-        assert math.isclose(sum(level.values()), 1.0)
-
-
 def test_posterior_marginals_match_brute() -> None:
+    """Smoothing is ``mu.marginals()`` of the translated chain."""
     hmm = make_weather_hmm()
     obs = ("3", "1", "3")
-    marginals = hmm.posterior_marginals(obs)
+    marginals = hmm.to_markov_sequence(obs).marginals()
     total = sum(
         brute_joint(hmm, hidden, obs)
         for hidden in itertools.product(hmm.states, repeat=3)
@@ -88,19 +74,22 @@ def test_posterior_marginals_match_brute() -> None:
                 )
                 / total
             )
-            assert math.isclose(marginals[position][state], brute, abs_tol=1e-9)
+            assert math.isclose(marginals[position].get(state, 0.0), brute, abs_tol=1e-9)
 
 
 def test_viterbi_matches_brute() -> None:
+    """The Viterbi decode is the E_max top answer of the identity
+    transducer on the translated chain, and its score is the path's
+    posterior probability."""
     hmm = make_weather_hmm()
     obs = ("3", "1", "3", "2")
-    path, log_score = hmm.viterbi(obs)
-    best = max(
-        itertools.product(hmm.states, repeat=len(obs)),
-        key=lambda hidden: brute_joint(hmm, hidden, obs),
-    )
-    assert path == best
-    assert math.isclose(math.exp(log_score), brute_joint(hmm, best, obs))
+    mu = hmm.to_markov_sequence(obs)
+    [top] = evaluate(mu, identity_mealy(hmm.states), order="emax", limit=1)
+    hidden = list(itertools.product(hmm.states, repeat=len(obs)))
+    best = max(hidden, key=lambda path: brute_joint(hmm, path, obs))
+    total = sum(brute_joint(hmm, path, obs) for path in hidden)
+    assert top.output == best
+    assert math.isclose(top.score, brute_joint(hmm, best, obs) / total)
 
 
 @settings(max_examples=20, deadline=None)
@@ -133,15 +122,15 @@ def test_zero_likelihood_observation_rejected() -> None:
         transition={"s": {"s": 1.0}},
         emission={"s": {"x": 1.0, "y": 0.0}},
     )
-    with pytest.raises(InvalidMarkovSequenceError):
-        hmm.to_markov_sequence(("y",))
-    assert hmm.log_likelihood(("y",)) == -math.inf
+    for obs in (("y",), ("x", "y"), ("x", "y", "x")):
+        with pytest.raises(InvalidMarkovSequenceError, match="zero likelihood"):
+            hmm.to_markov_sequence(obs)
 
 
 def test_empty_observations_rejected() -> None:
     hmm = make_weather_hmm()
-    with pytest.raises(InvalidMarkovSequenceError):
-        hmm.forward(())
+    with pytest.raises(InvalidMarkovSequenceError, match="at least one"):
+        hmm.to_markov_sequence(())
 
 
 def test_invalid_rows_rejected() -> None:

@@ -8,6 +8,7 @@ results together.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -149,7 +150,14 @@ def test_hmm_to_engine_pipeline() -> None:
     answers = list(evaluate(mu, query, order="emax"))
     total = sum(a.confidence for a in answers)
     assert math.isclose(total, 1.0, abs_tol=1e-9)
-    # The E_max top answer's evidence is the Viterbi decode.
-    viterbi_path, _ = hmm.viterbi(observations)
+    # The E_max top answer's evidence is the Viterbi decode: the most
+    # likely hidden path, by brute force over the HMM's joint.
+    def joint(path) -> float:
+        prob = hmm.initial.get(path[0], 0.0) * hmm.emission[path[0]][observations[0]]
+        for previous, state, observed in zip(path, path[1:], observations[1:]):
+            prob *= hmm.transition[previous][state] * hmm.emission[state][observed]
+        return prob
+
+    viterbi_path = max(itertools.product(hmm.states, repeat=len(observations)), key=joint)
     expected_top = tuple("U" if s == "u" else "V" for s in viterbi_path)
     assert answers[0].output == expected_top

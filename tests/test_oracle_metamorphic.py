@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from repro.oracle import registry
 from repro.oracle.generators import CLASS_LABELS, generate_instance
 from repro.oracle.metamorphic import (
     TRANSFORMS,
@@ -78,6 +79,22 @@ def test_semiring_swap_on_every_semiring_engine(label, seed) -> None:
     instance = generate_instance(label, seed=seed, trial=seed)
     diffs = check_semiring_swap(instance)
     assert not diffs, "\n".join(diff.describe() for diff in diffs)
+
+
+@pytest.mark.parametrize("broken", ["tropical", "counting"])
+def test_semiring_swap_catches_a_semiring_the_dp_gets_wrong(monkeypatch, broken) -> None:
+    """A DP whose TROPICAL or COUNTING run drifts from its VITERBI run or
+    from the world count is reported under its own engine name."""
+    honest = registry.SEMIRING_ENGINES["indexed"]
+
+    def drifting(*args, semiring):
+        value = honest(*args, semiring=semiring)
+        return value + 1 if semiring.name == broken else value
+
+    monkeypatch.setitem(registry.SEMIRING_ENGINES, "indexed", drifting)
+    diffs = check_semiring_swap(generate_instance("indexed", seed=1, trial=1))
+    assert diffs
+    assert {diff.engine for diff in diffs} == {f"metamorphic:semiring-swap[{broken}]"}
 
 
 @pytest.mark.parametrize("label", CLASS_LABELS)

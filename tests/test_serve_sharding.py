@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import pytest
 
+from repro.automata.nfa import NFA
 from repro.errors import ReproError
 from repro.lahar.database import MarkovStreamDatabase
 from repro.serve.sharding import ShardedDatabase, shard_of
+from repro.store import Store
 from repro.transducers.library import collapse_transducer
+from repro.transducers.transducer import Transducer
 
 from tests.conftest import make_fraction_sequence, make_fraction_timestep
 
@@ -113,3 +116,27 @@ def test_stats_reports_occupancy(rng) -> None:
     assert "plans" not in stats["plan_cache"]
     with pytest.raises(ReproError):
         ShardedDatabase(0)
+
+
+def test_durable_reads_plan_the_serialized_form_whichever_runs_first(
+    rng, tmp_path
+) -> None:
+    # Integer automaton states serialize as strings. A cross-stream read
+    # of the raw object must not seed the shared cache with a plan whose
+    # frontier keys differ from those recovery rebuilds.
+    delta = {(0, "a"): {1}, (0, "b"): {0}, (1, "a"): {1}, (1, "b"): {0}}
+    omega = {(0, "a", 1): ("X",), (0, "b", 0): ("Y",), (1, "a", 1): ("X",), (1, "b", 0): ()}
+    query = Transducer(NFA("ab", [0, 1], 0, {0, 1}, delta), omega)
+    sequence = make_fraction_sequence(ALPHABET, 4, rng)
+    frontiers = []
+    for first_read in (None, "top_k_across", "batch_confidence"):
+        db = ShardedDatabase(2)
+        db.attach_store(Store(tmp_path / str(first_read), fsync=False))
+        db.register_stream("s", sequence)
+        if first_read == "top_k_across":
+            db.top_k_across(query, 2)
+        elif first_read == "batch_confidence":
+            db.batch_confidence(query, ("X",))
+        frontiers.append(db.streaming_evaluator("s", query).frontier)
+    assert all(isinstance(cell[1], str) for cell in frontiers[0])
+    assert frontiers[1] == frontiers[0] and frontiers[2] == frontiers[0]
