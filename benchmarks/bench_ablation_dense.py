@@ -17,7 +17,7 @@ import random
 from repro.markov.builders import random_sequence
 from repro.transducers.library import collapse_transducer
 from repro.confidence.deterministic import confidence_deterministic
-from repro.parallel.vectorized import confidence_dense_batch
+from repro.vectorized import confidence_dense_batch
 
 from benchmarks.shape import print_series, timed
 

@@ -16,7 +16,8 @@ The vectorized path must be at least ``5x`` the scalar loop regardless
 of core count. Both sides run the same numpy DP, so the ratio credits
 batching alone (it removes per-stream python overhead, not just
 serializes less). The serial ranked batch is recorded, with the usable
-core count, but not gated.
+core count, but not gated. Every time is the median of ``REPEATS`` runs,
+recorded with its interquartile range.
 
 Run as a script to (re)record the ``BENCH_parallel.json`` baseline::
 
@@ -32,19 +33,21 @@ import random
 from repro.examples_data.hospital import LOCATIONS, hospital_sequence, room_change_transducer
 from repro.markov.sequence import MarkovSequence
 from repro.automata.nfa import NFA
-from repro.parallel import confidence_dense_batch, dense_batch_eligible
+from repro.vectorized import confidence_dense_batch, dense_batch_eligible
 from repro.runtime.executor import batch_top_k
 from repro.runtime.plan import QueryPlan
 from repro.transducers.transducer import Transducer
 
 from repro import telemetry
 
-from benchmarks.shape import REPO_ROOT, bench_result, print_series, timed_best, write_result
+from benchmarks.shape import REPO_ROOT, bench_result, median_iqr, print_series, timed, write_result
 
 STREAMS = 64
 LENGTH = 32
 K = 5
 VECTORIZED_MIN_SPEEDUP = 5.0
+#: Timed runs per path; the series reports their median.
+REPEATS = 5
 
 
 def _random_timestep(rng: random.Random) -> dict:
@@ -97,7 +100,9 @@ def measure(streams: int = STREAMS, length: int = LENGTH) -> dict:
 
     # --- serial ranked batch over the fleet -----------------------------
     plan = QueryPlan.build(room_change_transducer())
-    serial_s = timed_best(lambda: batch_top_k(plan, corpus, K, order="emax"), repeats=3)
+    serial_s, serial_iqr = median_iqr(
+        [timed(lambda: batch_top_k(plan, corpus, K, order="emax")) for _ in range(REPEATS)]
+    )
 
     return {
         "streams": streams,
@@ -105,6 +110,7 @@ def measure(streams: int = STREAMS, length: int = LENGTH) -> dict:
         "k": K,
         "cores": len(os.sched_getaffinity(0)),
         "serial_topk_s": serial_s,
+        "serial_topk_iqr_s": serial_iqr,
         **measure_vectorized(corpus, length),
     }
 
@@ -135,11 +141,15 @@ def measure_vectorized(corpus: dict[str, MarkovSequence], length: int) -> dict:
         abs(a - b) <= 1e-12 + 1e-9 * abs(a)
         for a, b in zip(scalar_values, vector_values)
     ), "vectorized confidences must match the per-stream (B = 1) DP"
-    scalar_s = timed_best(scalar_loop, repeats=3)
-    vectorized_s = timed_best(vectorized_batch, repeats=3)
+    scalar_s, scalar_iqr = median_iqr([timed(scalar_loop) for _ in range(REPEATS)])
+    vectorized_s, vectorized_iqr = median_iqr(
+        [timed(vectorized_batch) for _ in range(REPEATS)]
+    )
     return {
         "scalar_confidence_s": scalar_s,
+        "scalar_confidence_iqr_s": scalar_iqr,
         "vectorized_confidence_s": vectorized_s,
+        "vectorized_confidence_iqr_s": vectorized_iqr,
         "vectorized_speedup": scalar_s / vectorized_s,
     }
 
@@ -149,7 +159,13 @@ def common_result(streams: int = STREAMS, length: int = LENGTH) -> dict:
     with telemetry.session() as registry:
         results = measure(streams=streams, length=length)
         snapshot = registry.snapshot()
-    params = {"streams": streams, "length": length, "k": K, "cores": results["cores"]}
+    params = {
+        "streams": streams,
+        "length": length,
+        "k": K,
+        "repeats": REPEATS,
+        "cores": results["cores"],
+    }
     return bench_result("parallel", params, results, telemetry_snapshot=snapshot)
 
 
@@ -157,11 +173,21 @@ def report(results: dict) -> None:
     print_series(
         f"Batch execution (streams={results['streams']}, n={results['length']}, "
         f"cores={results['cores']})",
-        ["path", "seconds", "speedup"],
+        ["path", "median s", "IQR s", "speedup"],
         [
-            ("serial batch_top_k", results["serial_topk_s"], 1.0),
-            ("scalar confidence loop", results["scalar_confidence_s"], 1.0),
-            ("vectorized confidence", results["vectorized_confidence_s"], results["vectorized_speedup"]),
+            ("serial batch_top_k", results["serial_topk_s"], results["serial_topk_iqr_s"], 1.0),
+            (
+                "scalar confidence loop",
+                results["scalar_confidence_s"],
+                results["scalar_confidence_iqr_s"],
+                1.0,
+            ),
+            (
+                "vectorized confidence",
+                results["vectorized_confidence_s"],
+                results["vectorized_confidence_iqr_s"],
+                results["vectorized_speedup"],
+            ),
         ],
     )
 

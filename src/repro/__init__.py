@@ -23,7 +23,6 @@ from repro.approx import ApproxConfidence
 from repro.core.engine import approximate_confidence, compute_confidence, evaluate, top_k
 from repro.core.korder import confidence_korder, evaluate_korder
 from repro.core.results import Answer, Order
-from repro.confidence.montecarlo import estimate_confidence
 from repro.markov.builders import (
     homogeneous,
     hospital_model,
@@ -73,7 +72,6 @@ __all__ = [
     "ApproxConfidence",
     "evaluate_korder",
     "confidence_korder",
-    "estimate_confidence",
     "Answer",
     "Order",
     "MarkovStreamDatabase",

@@ -14,8 +14,8 @@ Five rules (see ``docs/ANALYSIS.md`` for the full contract):
 
 ========  ==========================================================
 RX01      exactness-taint: no floats/`math.*` in the exact-Fraction
-          modules (``confidence/`` sans ``montecarlo.py``, ``core/``,
-          ``runtime/``, ``store/``, ``approx/product.py``)
+          modules (``confidence/``, ``core/``, ``runtime/``,
+          ``store/``, ``approx/product.py``)
 RX02      async-blocking: no blocking I/O reachable from ``async def``
           bodies in ``serve/`` without an executor hop
 RX03      seed-discipline: every RNG is constructed from an explicit

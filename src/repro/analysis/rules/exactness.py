@@ -4,8 +4,8 @@ The PTIME cells of the paper's Table 2 are only correct because every
 probability flows through exact ``Fraction`` arithmetic; one stray
 float silently turns the referee into an estimate. This rule bans float
 literals, ``float(...)`` conversions, and ``math.*`` usage inside the
-exact zone: ``confidence/`` (except ``montecarlo.py``), ``core/``,
-``runtime/``, ``store/``, and ``approx/product.py``. The FPRAS sampler
+exact zone: every file in ``confidence/``, ``core/``, ``runtime/``,
+``store/``, and ``approx/product.py``. The FPRAS sampler
 (``approx/fpras.py``) is the one blessed float zone and sits outside
 the scope.
 
@@ -28,7 +28,6 @@ from repro.analysis.rules.base import FileContext, Finding, Rule, call_name, dot
 
 _SCOPE_PREFIXES = ("confidence/", "core/", "runtime/", "store/")
 _SCOPE_FILES = ("approx/product.py",)
-_EXCLUDED = ("confidence/montecarlo.py",)
 
 _TELEMETRY_RECEIVERS = {"telemetry", "recorder"}
 _TELEMETRY_METHODS = {"count", "gauge", "observe", "span", "observe_span"}
@@ -76,8 +75,6 @@ class ExactnessTaintRule(Rule):
     title = "exactness-taint"
 
     def applies(self, relpath: str) -> bool:
-        if relpath in _EXCLUDED:
-            return False
         if relpath in _SCOPE_FILES:
             return True
         return relpath.startswith(_SCOPE_PREFIXES)
@@ -161,7 +158,7 @@ class _Collector(ast.NodeVisitor):
                     self.ctx,
                     node,
                     f"float literal {node.value!r} in exact-Fraction zone "
-                    "(use Fraction, or move to the blessed FPRAS/montecarlo float zone)",
+                    "(use Fraction, or move to the blessed FPRAS float zone)",
                 )
             )
 

@@ -154,17 +154,3 @@ class AnswerProduct:
             )
             run.append(state)
         return tuple(run)
-
-    def count_runs(self, world: Sequence[Symbol]) -> int:
-        """Exact number of accepting runs on ``world`` (the ambiguity).
-
-        Used by tests and referees; the estimator itself never needs it.
-        """
-        counts: dict[ProductState, int] = {self.initial: 1}
-        for symbol in world:
-            grown: dict[ProductState, int] = {}
-            for state, count in counts.items():
-                for target in self.moves(state, symbol):
-                    grown[target] = grown.get(target, 0) + count
-            counts = grown
-        return sum(count for state, count in counts.items() if self.is_accepting(state))

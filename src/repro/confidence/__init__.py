@@ -31,11 +31,6 @@ from repro.confidence.brute_force import (
     brute_force_confidence,
     brute_force_emax,
 )
-from repro.confidence.montecarlo import (
-    ConfidenceEstimate,
-    estimate_confidence,
-    estimate_samples_needed,
-)
 from repro.confidence.batch import confidence_deterministic_batch
 from repro.confidence.deterministic import confidence_deterministic
 from repro.confidence.indexed import confidence_indexed
@@ -54,7 +49,4 @@ __all__ = [
     "brute_force_answers",
     "brute_force_confidence",
     "brute_force_emax",
-    "estimate_confidence",
-    "estimate_samples_needed",
-    "ConfidenceEstimate",
 ]

@@ -106,14 +106,8 @@ def confidence_indexed(
     output: Sequence,
     index: int,
     semiring: Semiring = REAL,
-    _forward=None,
-    _backward=None,
 ) -> Number:
-    """``Pr(S -> [B]↓A[E] -> (output, index))`` (index is 1-based).
-
-    ``_forward`` / ``_backward`` let callers that evaluate many answers on
-    one sequence (the ranked-enumeration engine) share the two DP tables.
-    """
+    """``Pr(S -> [B]↓A[E] -> (output, index))`` (index is 1-based)."""
     _check(sequence, projector)
     target = tuple(output)
     n = sequence.length
@@ -123,12 +117,8 @@ def confidence_indexed(
     if not projector.pattern.accepts(target):
         return semiring.zero
 
-    prefix_layers = _forward if _forward is not None else forward_prefix_weights(
-        sequence, projector, semiring
-    )
-    suffix_layers = _backward if _backward is not None else backward_suffix_weights(
-        sequence, projector, semiring
-    )
+    prefix_layers = forward_prefix_weights(sequence, projector, semiring)
+    suffix_layers = backward_suffix_weights(sequence, projector, semiring)
 
     weights = semiring.lift_sequence(sequence)
     if m == 0:

@@ -3,7 +3,7 @@
 The repo computes the same answers in many ways: brute-force
 possible-world enumeration, the class-specialized confidence DPs, the
 log-space/exact-``Fraction`` variants, ``repro.runtime`` plan
-execution, and the ``repro.parallel`` vectorized batch path.
+execution, and the ``repro.vectorized`` batch path.
 This package cross-checks all of them, matrix-shaped like the paper's
 Table 2 (transducer class × engine), in the spirit of randomized
 certification of counting procedures (Arenas et al.) and of validating

@@ -44,7 +44,7 @@ from repro.markov.sequence import MarkovSequence
 from repro.oracle.differential import Diff, pick_probes
 from repro.oracle.generators import Instance, _classify
 from repro.oracle.registry import SEMIRING_ENGINES, VerifyContext, semiring_confidence
-from repro.parallel.vectorized import dense_batch_eligible
+from repro.vectorized import dense_batch_eligible
 from repro.runtime.cache import plan_for
 from repro.runtime.executor import batch_confidence, plan_confidence
 from repro.runtime.plan import QueryPlan

@@ -50,7 +50,7 @@ from repro.confidence.indexed import confidence_indexed
 from repro.confidence.sprojector import confidence_sprojector
 from repro.confidence.uniform_subset import confidence_uniform
 from repro.oracle.generators import CLASS_LABELS, Instance
-from repro.parallel.vectorized import confidence_dense_batch
+from repro.vectorized import confidence_dense_batch
 from repro.runtime.cache import PlanCache, plan_for
 from repro.runtime.executor import plan_confidence
 from repro.runtime.plan import QueryPlan

@@ -10,9 +10,9 @@ and kept on it (:func:`~repro.runtime.plan.fingerprint`), so a hit on a
 query object seen before costs a dict lookup, not a canonicalisation.
 
 The cache is thread-safe: the ``OrderedDict`` and the hit/miss/eviction
-counters are guarded by a :class:`threading.Lock`, so the process-wide
-default cache survives concurrent use (the parallel subsystem's merge
-threads, future async endpoints). Plan *construction* also happens under
+counters are guarded by a :class:`threading.Lock`, so a cache survives
+concurrent use (``repro serve`` reads one from its event loop and its
+read threads at once). Plan *construction* also happens under
 the lock — concurrent misses on the same shape serialize rather than
 racing to build duplicate plans, which keeps the per-fingerprint
 ``PlanStats`` block unique.

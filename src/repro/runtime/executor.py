@@ -31,7 +31,7 @@ from repro.enumeration.emax import enumerate_emax
 from repro.enumeration.indexed_ranked import enumerate_indexed_ranked
 from repro.enumeration.sprojector_ranked import enumerate_sprojector_imax
 from repro.enumeration.unranked import enumerate_unranked
-from repro.parallel.vectorized import confidence_dense_batch, dense_batch_eligible
+from repro.vectorized import confidence_dense_batch, dense_batch_eligible
 from repro.runtime.cache import PlanCache, plan_for
 from repro.runtime.incremental import StreamingEvaluator
 from repro.runtime.plan import PlanKind, QueryPlan
@@ -77,7 +77,7 @@ def batch_confidence(
 
     When the plan and the corpus are dense-eligible (a deterministic
     k-uniform plan over an equal-length float stack, see
-    :func:`repro.parallel.vectorized.dense_batch_eligible`), one batched
+    :func:`repro.vectorized.dense_batch_eligible`), one batched
     numpy DP answers every stream at once. Otherwise each stream runs
     :func:`plan_confidence`, so exact ``Fraction`` corpora stay exact.
     Keys follow the corpus's order.

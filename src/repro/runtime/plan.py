@@ -304,13 +304,18 @@ class QueryPlan:
         return table
 
     def supports_streaming(self) -> bool:
-        """Whether the streaming evaluator has a polynomial frontier.
+        """Whether the compiled transducer is deterministic.
 
-        True when the compiled transducer is deterministic — one run per
-        world, so the frontier is one cell per (node, state, emitted
-        output). Nondeterministic plans still stream *exactly* via the
-        world-summary frontier, but its size can grow exponentially
-        (matching the class's #P-hardness), so callers must opt in.
+        That is the only condition checked. A deterministic plan has one
+        run per world, so its streaming frontier holds one cell per
+        (node, state, emitted output). That is polynomial only while the
+        set of live outputs is: an accept filter that emits nothing keeps
+        |Σ|·|Q| cells, but a plan that emits a symbol per step can keep
+        up to |Δ|^n outputs after n steps. True therefore promises one
+        run per world, not a small frontier. Nondeterministic plans
+        still stream *exactly* via the world-summary frontier, whose size
+        can grow exponentially (matching the class's #P-hardness), so
+        callers must opt in.
         """
         return self.deterministic
 

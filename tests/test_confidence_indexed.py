@@ -13,11 +13,7 @@ from repro.automata.operations import empty_string_only, sigma_star
 from repro.automata.regex import regex_to_dfa
 from repro.transducers.sprojector import IndexedSProjector, SProjector
 from repro.confidence.brute_force import brute_force_answers
-from repro.confidence.indexed import (
-    backward_suffix_weights,
-    confidence_indexed,
-    forward_prefix_weights,
-)
+from repro.confidence.indexed import confidence_indexed
 
 from tests.conftest import make_random_dfa, make_sequence
 
@@ -83,24 +79,6 @@ def test_full_match_at_position_one() -> None:
         sigma_star("ab"), regex_to_dfa("ab", "ab"), sigma_star("ab")
     )
     assert confidence_indexed(sequence, projector, ("a", "b"), 1) == Fraction(1, 4)
-
-
-def test_shared_dp_tables_match_fresh_computation() -> None:
-    rng = random.Random(23)
-    sequence = make_sequence(ALPHABET, 4, rng)
-    projector = IndexedSProjector(
-        make_random_dfa(ALPHABET, 2, rng),
-        make_random_dfa(ALPHABET, 2, rng),
-        make_random_dfa(ALPHABET, 2, rng),
-    )
-    forward = forward_prefix_weights(sequence, projector)
-    backward = backward_suffix_weights(sequence, projector)
-    for (output, index) in brute_force_answers(sequence, projector):
-        fresh = confidence_indexed(sequence, projector, output, index)
-        shared = confidence_indexed(
-            sequence, projector, output, index, _forward=forward, _backward=backward
-        )
-        assert math.isclose(fresh, shared, abs_tol=1e-12)
 
 
 def test_sum_over_all_indexed_answers_vs_worlds() -> None:

@@ -21,16 +21,16 @@ from repro.errors import InvalidTransducerError, ReproError
 from repro.confidence.deterministic import confidence_deterministic
 from repro.examples_data.hospital import room_change_transducer
 from repro.markov.builders import uniform_iid
-from repro.parallel import (
-    confidence_dense_batch,
-    confidence_dense_batch_named,
-    dense_batch_eligible,
-)
 from repro.runtime import executor
 from repro.runtime.executor import batch_confidence, run_evaluate
 from repro.runtime.plan import QueryPlan
 from repro.transducers.library import collapse_transducer, identity_mealy
 from repro.transducers.transducer import Transducer
+from repro.vectorized import (
+    confidence_dense_batch,
+    confidence_dense_batch_named,
+    dense_batch_eligible,
+)
 
 from tests.conftest import make_fraction_sequence, make_random_dfa, make_sequence
 
