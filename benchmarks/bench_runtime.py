@@ -15,6 +15,13 @@ long RFID-like stream — read repeatedly and appended to continuously:
   the same object again (the fingerprint kept on the object). Reported
   as the median and IQR over :data:`LOOKUP_REPEATS` repeats, with the
   number of cores the process may run on.
+* **exact appends on aged streams**: one append to an exact stream
+  (rows ``k/11``, as perfbench's ``durable`` workload draws them) that
+  carries :data:`AGED_WATCHES` occurrence watches, plus the read of each
+  watched value, once the stream is ``n`` timesteps old, for ``n`` in
+  :data:`AGED_SIZES`. Exact values gain a fixed number of bits per
+  timestep, so this is the series that shows what an old stream costs.
+  Median and IQR over :data:`AGED_REPEATS` appends; no speedup floor.
 
 Each speedup must be at least 2x (they are orders of magnitude in
 practice). Run as a script to (re)record the ``BENCH_runtime.json``
@@ -27,6 +34,7 @@ from __future__ import annotations
 
 import os
 import time
+from fractions import Fraction
 
 from repro import telemetry
 from repro.automata.regex import regex_to_dfa
@@ -34,6 +42,7 @@ from repro.markov.builders import homogeneous
 from repro.lahar.database import MarkovStreamDatabase
 from repro.runtime.cache import PlanCache
 from repro.runtime.executor import run_evaluate
+from repro.transducers.library import accept_filter
 
 from benchmarks.bench_sparse import trap_monitor_query
 from benchmarks.shape import (
@@ -50,6 +59,10 @@ ALPHABET = "ab"
 MIN_SPEEDUP = 2.0
 LOOKUP_REPEATS = 7
 LOOKUPS_PER_REPEAT = 20
+AGED_SIZES = (200, 1000, 4000)
+QUICK_AGED_SIZES = (200,)
+AGED_REPEATS = 7
+AGED_WATCHES = ("aab", "abb", "abab", "bbaa")
 
 
 def monitoring_stream(n: int = N):
@@ -68,8 +81,6 @@ def occurrence_query():
     frontier) constant-size however long the stream grows — the shape of
     a Lahar event-detection query.
     """
-    from repro.transducers.library import accept_filter
-
     return accept_filter(regex_to_dfa("(a|b)*ab(a|b)*", ALPHABET))
 
 
@@ -169,6 +180,44 @@ def measure_plan_lookup() -> dict:
     }
 
 
+def measure_aged(sizes=AGED_SIZES) -> dict:
+    """Per-append cost of an exact stream with watches, by stream age.
+
+    One stream grows append by append; once it is ``n`` timesteps old,
+    :data:`AGED_REPEATS` further appends are timed one by one, each with
+    the read of every watched value that a standing query makes.
+    """
+    eleventh = Fraction(1, 11)
+    rows = {
+        "a": {"a": 3 * eleventh, "b": 8 * eleventh},
+        "b": {"a": 8 * eleventh, "b": 3 * eleventh},
+    }
+    db = MarkovStreamDatabase()
+    db.register_stream("tag", homogeneous({"a": 3 * eleventh, "b": 8 * eleventh}, rows, 2))
+    evaluators = [
+        db.streaming_evaluator(
+            "tag", accept_filter(regex_to_dfa(f"(a|b)*{pattern}(a|b)*", ALPHABET))
+        )
+        for pattern in AGED_WATCHES
+    ]
+
+    def append_and_read() -> float:
+        start = time.perf_counter()
+        db.append("tag", rows)
+        for evaluator in evaluators:
+            evaluator.confidences().get((), 0)
+        return time.perf_counter() - start
+
+    metrics: dict = {}
+    for n in sorted(sizes):
+        while db.stream("tag").length < n:
+            db.append("tag", rows)
+        median, iqr = median_iqr([append_and_read() for _ in range(AGED_REPEATS)])
+        metrics[f"aged_append_n{n}_s"] = median
+        metrics[f"aged_append_n{n}_iqr_s"] = iqr
+    return metrics
+
+
 def report(results: dict) -> None:
     print_series(
         f"Runtime speedups (n={results['n']})",
@@ -187,6 +236,17 @@ def report(results: dict) -> None:
         f"memo {results['plan_lookup_memo_iqr_s']:.3g} s "
         f"({LOOKUP_REPEATS} repeats, {results['cores']} cores)"
     )
+    aged = results.get("aged_sizes", ())
+    if aged:
+        print_series(
+            f"Exact append with {len(AGED_WATCHES)} watches, by stream age "
+            f"(median of {AGED_REPEATS})",
+            ["n", "seconds", "IQR seconds"],
+            [
+                (n, results[f"aged_append_n{n}_s"], results[f"aged_append_n{n}_iqr_s"])
+                for n in aged
+            ],
+        )
 
 
 def bench_runtime_speedups(benchmark) -> None:
@@ -203,15 +263,22 @@ def bench_runtime_speedups(benchmark) -> None:
     benchmark(lambda: list(db.query("tag", query)))
 
 
-def common_result(n: int = N) -> dict:
-    """One common-schema result, measured with telemetry enabled."""
+def common_result(n: int = N, aged_sizes=AGED_SIZES) -> dict:
+    """One common-schema result, measured with telemetry enabled (the aged
+    series runs after the session, so it records no telemetry)."""
     with telemetry.session() as registry:
         results = measure(n)
         snapshot = registry.snapshot()
     metrics = {key: value for key, value in results.items() if key != "query"}
+    metrics.update(measure_aged(aged_sizes))
     return bench_result(
         "runtime",
-        {"n": n, "query": results["query"]},
+        {
+            "n": n,
+            "query": results["query"],
+            "aged_sizes": list(aged_sizes),
+            "aged_watches": list(AGED_WATCHES),
+        },
         metrics,
         telemetry_snapshot=snapshot,
     )

@@ -148,9 +148,9 @@ def _run_runtime() -> dict:
 
 
 def _run_runtime_quick() -> dict:
-    from benchmarks.bench_runtime import common_result
+    from benchmarks.bench_runtime import QUICK_AGED_SIZES, common_result
 
-    return common_result(n=120)
+    return common_result(n=120, aged_sizes=QUICK_AGED_SIZES)
 
 
 def _run_parallel() -> dict:

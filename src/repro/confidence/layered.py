@@ -33,7 +33,7 @@ from collections.abc import Callable, Hashable, Iterable, Iterator, Mapping, Seq
 from typing import Any
 
 from repro.markov.sequence import MarkovSequence
-from repro.semiring import REAL, Semiring
+from repro.semiring import REAL, ScaledRows, Semiring, unscale_layer
 
 #: A DP cell: ``(Markov node, *machine summary)``.
 Cell = tuple[Any, ...]
@@ -86,6 +86,30 @@ def step(
             for key in advance(cell, target):
                 nxt[key] = add(nxt.get(key, zero), mul(mass, weight))
     return nxt
+
+
+def step_scaled(
+    layer: Mapping[Cell, Any],
+    scale: int | None,
+    rows: Rows,
+    lifted: ScaledRows | None,
+    advance: Advance,
+) -> tuple[Layer, int | None]:
+    """:func:`step` over REAL for a layer of numerators over ``scale``.
+
+    ``lifted`` is :func:`~repro.semiring.scale_rows` of ``rows``. While
+    the layer and the rows both have a scale, the step runs on their
+    integer numerators and the new scale is the product of the two, so
+    no cell pays a ``gcd``. A float row (``lifted`` None) drops the
+    layer back to ``Fraction`` values for good (scale None); from then
+    on the step runs on the values as they are, as :func:`step` does.
+    """
+    if scale is not None:
+        if lifted is not None:
+            numerators, denominator = lifted
+            return step(layer, numerators, advance), scale * denominator
+        layer = unscale_layer(layer, scale)
+    return step(layer, rows, advance), None
 
 
 def forward(

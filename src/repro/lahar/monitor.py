@@ -20,13 +20,15 @@ per-timestep probability profiles and the paper's transducer answers:
 from __future__ import annotations
 
 from collections.abc import Hashable, Mapping
+from fractions import Fraction
 
-from repro.confidence.layered import automaton_advance, final_layer, forward, step
+from repro.confidence.layered import automaton_advance, final_layer, forward, step_scaled
 from repro.markov.sequence import MarkovSequence, Number
 from repro.automata.determinize import determinize
 from repro.automata.dfa import DFA
 from repro.automata.nfa import NFA
 from repro.errors import AlphabetMismatchError, ReproError
+from repro.semiring import scale_layer, scale_rows, unscale_layer
 
 Symbol = Hashable
 
@@ -116,6 +118,11 @@ class StreamingMonitor:
     ``StreamingMonitor.occurrence(sequence, pattern)`` builds the monitor
     over the unanchored-match DFA, giving the Lahar "event fires at time
     i" value that the service's standing occurrence queries watch.
+
+    Over exact inputs the layer is kept as integer numerators over one
+    running denominator, so an append does no ``gcd`` per cell
+    (:func:`~repro.confidence.layered.step_scaled`); :attr:`value` and
+    :attr:`layer` divide once.
     """
 
     def __init__(self, sequence: MarkovSequence, dfa: DFA) -> None:
@@ -123,7 +130,9 @@ class StreamingMonitor:
         self._dfa = dfa
         self._advance = automaton_advance(dfa.step)
         self._length = sequence.length
-        self._layer = final_layer(sequence, (dfa.initial,), self._advance)
+        self._layer, self._scale = scale_layer(
+            final_layer(sequence, (dfa.initial,), self._advance)
+        )
 
     @classmethod
     def occurrence(
@@ -146,7 +155,7 @@ class StreamingMonitor:
         self = object.__new__(cls)
         self._dfa = dfa
         self._advance = automaton_advance(dfa.step)
-        self._layer = dict(layer)
+        self._layer, self._scale = scale_layer(layer)
         self._length = length
         return self
 
@@ -164,7 +173,9 @@ class StreamingMonitor:
             source: {target: prob for target, prob in row.items() if prob != 0}
             for source, row in transition.items()
         }
-        self._layer = step(self._layer, rows, self._advance)
+        self._layer, self._scale = step_scaled(
+            self._layer, self._scale, rows, scale_rows(rows), self._advance
+        )
         self._length += 1
         return self.value
 
@@ -172,9 +183,10 @@ class StreamingMonitor:
     def value(self) -> Number:
         """``Pr(S[1..n] in L(dfa))`` for the stream absorbed so far."""
         accepting = self._dfa.accepting
-        return sum(
+        total = sum(
             mass for (_s, state), mass in self._layer.items() if state in accepting
         )
+        return total if self._scale is None else Fraction(total, self._scale)
 
     @property
     def length(self) -> int:
@@ -183,8 +195,9 @@ class StreamingMonitor:
 
     @property
     def layer(self) -> dict[tuple[Symbol, object], Number]:
-        """A copy of the live product-DP layer (what snapshots persist)."""
-        return dict(self._layer)
+        """A copy of the live product-DP layer (what snapshots persist),
+        exact values as canonical ``Fraction``s."""
+        return unscale_layer(self._layer, self._scale)
 
     @property
     def dfa(self) -> DFA:

@@ -38,22 +38,37 @@ carried; which representation is used is decided by the compiled
 machine (``plan.deterministic``), so persisted frontiers restore
 identically.
 
-:meth:`checkpoint` / :meth:`rollback` snapshot and restore the frontier,
-which is how sliding windows re-anchor without replaying the stream.
+Over exact inputs the frontier's values are integer numerators over one
+running denominator, the *scale*. Each timestep's rows are lifted once
+to numerators over their common denominator
+(:func:`~repro.semiring.scale_rows`), the layer step runs on ``int``s,
+and the scale is multiplied by the step's denominator, so no cell pays
+the ``gcd`` that every ``Fraction`` add and multiply does. Reads divide
+once: :meth:`confidences` per answer and :attr:`frontier` per cell, so
+callers see the same canonical ``Fraction``s as before. A float row
+drops the frontier back to ``Fraction`` values for good, and from then
+on the step runs on the values as they are, exactly as it always did
+on float streams.
+
+:meth:`checkpoint` / :meth:`rollback` snapshot and restore the frontier
+with its scale, which is how sliding windows re-anchor without
+replaying the stream.
 """
 
 from __future__ import annotations
 
 import time
 from collections.abc import Hashable, Iterator, Mapping
+from fractions import Fraction
 
 from repro import telemetry
-from repro.confidence.layered import Cell, step
+from repro.confidence.layered import Cell, step_scaled
 from repro.errors import ReproError
 from repro.markov.sequence import MarkovSequence, Number
 from repro.core.results import Answer, Order
 from repro.runtime.cache import PlanCache, plan_for
 from repro.runtime.plan import PlanKind
+from repro.semiring import ScaledRows, scale_layer, scale_rows, unscale_layer
 from repro.transducers.sprojector import decode_indexed_output
 
 Symbol = Hashable
@@ -85,10 +100,10 @@ class StreamingEvaluator:
         self.plan.compiled.check_alphabet(sequence.alphabet)
         self._deterministic = self.plan.deterministic
         self._sequence = sequence
-        self._frontier: dict = self._initial_frontier(sequence)
+        self._frontier, self._scale = self._initial_frontier(sequence)
         for i in range(1, sequence.length):
-            self._advance(i)
-        self._checkpoints: list[tuple[MarkovSequence, dict]] = []
+            self._advance(i, scale_rows(sequence.transition_rows(i)))
+        self._checkpoints: list[tuple[MarkovSequence, dict, int | None]] = []
 
     @classmethod
     def restore(
@@ -101,9 +116,10 @@ class StreamingEvaluator:
         """Rebuild an evaluator from a persisted frontier — no DP re-run.
 
         ``frontier`` must be the :attr:`frontier` of an evaluator for the
-        same (query, sequence) pair; plan compilation is deterministic
-        per fingerprint, so the recompiled plan's state objects are
-        value-equal to the ones inside the persisted keys. This is the
+        same (query, sequence) pair; exact values are lifted back to
+        numerators over their common denominator. Plan compilation is
+        deterministic per fingerprint, so the recompiled plan's state
+        objects are value-equal to the ones inside the persisted keys. This is the
         restart path of :mod:`repro.store`: recovery costs one snapshot
         load plus the log suffix instead of ``sequence.length`` DP
         layers.
@@ -113,7 +129,7 @@ class StreamingEvaluator:
         self.plan.compiled.check_alphabet(sequence.alphabet)
         self._deterministic = self.plan.deterministic
         self._sequence = sequence
-        self._frontier = dict(frontier)
+        self._frontier, self._scale = scale_layer(frontier)
         self._checkpoints = []
         return self
 
@@ -121,13 +137,25 @@ class StreamingEvaluator:
     # Frontier maintenance
     # ------------------------------------------------------------------
 
-    def _initial_frontier(self, sequence: MarkovSequence) -> dict:
+    def _initial_frontier(self, sequence: MarkovSequence) -> tuple[dict, int | None]:
         initial = self.plan.compiled.nfa.initial
         start = (initial, ()) if self._deterministic else (frozenset({(initial, ())}),)
-        return self._step({(None, *start): 1}, {None: dict(sequence.initial_support())})[0]
+        rows = {None: dict(sequence.initial_support())}
+        nxt, scale, _cells = self._step({(None, *start): 1}, 1, rows, scale_rows(rows))
+        return nxt, scale
 
-    def _step(self, layer: Mapping, rows: Mapping) -> tuple[dict, int]:
-        """One layer of the frontier DP and the cell updates it cost.
+    def _step(
+        self,
+        layer: Mapping,
+        scale: int | None,
+        rows: Mapping,
+        lifted: ScaledRows | None,
+    ) -> tuple[dict, int | None, int]:
+        """One layer of the frontier DP, its scale, and the cell updates it cost.
+
+        ``layer`` holds numerators over ``scale`` and ``lifted`` is
+        :func:`~repro.semiring.scale_rows` of ``rows``
+        (:func:`~repro.confidence.layered.step_scaled`).
 
         A deterministic cell ``(node, state, output)`` moves like the
         Theorem 4.6 DP with the output left free, one update per move. A
@@ -155,16 +183,21 @@ class StreamingEvaluator:
                 )
                 if new_summary:
                     yield (target, new_summary)
-        return step(layer, rows, advance), cells
+        nxt, scale = step_scaled(layer, scale, rows, lifted, advance)
+        return nxt, scale, cells
 
-    def _advance(self, i: int) -> None:
-        """Push the frontier across transition ``i`` (paper indexing)."""
+    def _advance(self, i: int, lifted: ScaledRows | None) -> None:
+        """Push the frontier across transition ``i`` (paper indexing),
+        whose rows ``lifted`` holds as :func:`~repro.semiring.scale_rows`
+        numerators."""
         # The per-layer timer only runs when telemetry is enabled: one
         # recorder() call and a None check is the whole disabled cost.
         recorder = telemetry.recorder()
         start = time.perf_counter() if recorder is not None else 0.0
-        nxt, cells = self._step(self._frontier, self._sequence.transition_rows(i))
-        self._frontier = nxt
+        nxt, scale, cells = self._step(
+            self._frontier, self._scale, self._sequence.transition_rows(i), lifted
+        )
+        self._frontier, self._scale = nxt, scale
         self.plan.stats.record_append(cells)
         if recorder is not None:
             recorder.observe("runtime.append.seconds", time.perf_counter() - start)
@@ -194,18 +227,23 @@ class StreamingEvaluator:
         ``{a.output: a.confidence for a in evaluate(grown_sequence, query)}``
         exactly — ``Fraction`` inputs give bit-identical rationals.
         """
-        self.advance_to(self._sequence.extended(transition))
+        grown = self._sequence.extended(transition)
+        self.advance_to(grown, scale_rows(grown.transition_rows(grown.length - 1)))
         return self.confidences()
 
-    def advance_to(self, grown: MarkovSequence) -> None:
+    def advance_to(
+        self, grown: MarkovSequence, lifted: ScaledRows | None
+    ) -> None:
         """Absorb the last timestep of an already-validated ``grown`` stream.
 
         ``grown`` must be the absorbed stream plus one timestep, built by
-        :meth:`MarkovSequence.extended` (which validated it). This is the
-        database's append path: it validates the timestep once and hands
-        the same grown sequence to every attached evaluator, which then
-        share it. Atomic like :meth:`append`: on failure the evaluator is
-        left exactly as it was.
+        :meth:`MarkovSequence.extended` (which validated it), and
+        ``lifted`` the :func:`~repro.semiring.scale_rows` of that
+        timestep's rows. This is the database's append path: it validates
+        and lifts the timestep once and hands the same grown sequence and
+        lift to every attached evaluator, which then share them. Atomic
+        like :meth:`append`: on failure the evaluator is left exactly as
+        it was.
         """
         previous = self._sequence
         if grown.length != previous.length + 1:
@@ -213,12 +251,12 @@ class StreamingEvaluator:
                 f"cannot advance a {previous.length}-step evaluator to a "
                 f"{grown.length}-step stream"
             )
-        # ``_advance`` only installs the new frontier as its final step,
-        # so restoring the sequence on *any* failure restores the whole
-        # (sequence, frontier) pair.
+        # ``_advance`` only installs the new frontier and scale as its
+        # final step, so restoring the sequence on *any* failure restores
+        # the whole (sequence, frontier, scale) triple.
         self._sequence = grown
         try:
-            self._advance(grown.length - 1)
+            self._advance(grown.length - 1, lifted)
         except BaseException:
             self._sequence = previous
             raise
@@ -246,7 +284,10 @@ class StreamingEvaluator:
                 outputs = {output for state, output in summary if state in accepting}
                 for output in outputs:
                     conf[output] = conf.get(output, 0) + mass
-        return conf
+        scale = self._scale
+        if scale is None:
+            return conf
+        return {output: Fraction(total, scale) for output, total in conf.items()}
 
     def answers(self, with_confidence: bool = True) -> Iterator[Answer]:
         """Stream :class:`Answer` records for the current stream.
@@ -269,15 +310,17 @@ class StreamingEvaluator:
     # ------------------------------------------------------------------
 
     def checkpoint(self) -> int:
-        """Snapshot the stream + frontier; returns the checkpoint depth."""
-        self._checkpoints.append((self._sequence, dict(self._frontier)))
+        """Snapshot the stream, frontier and scale; returns the checkpoint
+        depth. A step builds a new frontier and never mutates the old
+        one, so the snapshot holds it without a copy."""
+        self._checkpoints.append((self._sequence, self._frontier, self._scale))
         return len(self._checkpoints)
 
     def rollback(self) -> None:
         """Restore the most recent checkpoint (and consume it)."""
         if not self._checkpoints:
             raise ReproError("no checkpoint to roll back to")
-        self._sequence, self._frontier = self._checkpoints.pop()
+        self._sequence, self._frontier, self._scale = self._checkpoints.pop()
 
     def discard_checkpoint(self) -> None:
         """Drop the most recent checkpoint without restoring it.
@@ -311,8 +354,9 @@ class StreamingEvaluator:
 
     @property
     def frontier(self) -> dict:
-        """A copy of the live frontier (what :mod:`repro.store` snapshots)."""
-        return dict(self._frontier)
+        """A copy of the live frontier (what :mod:`repro.store` snapshots),
+        exact values as canonical ``Fraction``s."""
+        return unscale_layer(self._frontier, self._scale)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

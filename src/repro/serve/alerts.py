@@ -21,10 +21,19 @@ the threshold cannot ring the alert on every append.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from repro.errors import ReproError
 from repro.markov.sequence import Number
+
+
+def _exact(level: Number) -> Number:
+    """``level`` as the exact rational a ``Fraction`` comparison uses."""
+    if isinstance(level, float) and math.isfinite(level):
+        return Fraction.from_float(level)
+    return level
 
 
 class ThresholdWatch:
@@ -45,7 +54,7 @@ class ThresholdWatch:
         crossings *observed after* registration do.
     """
 
-    __slots__ = ("threshold", "rearm", "armed", "value")
+    __slots__ = ("threshold", "rearm", "armed", "value", "_exact_levels")
 
     def __init__(
         self,
@@ -57,6 +66,9 @@ class ThresholdWatch:
             raise ReproError("re-arm level cannot exceed the threshold")
         self.threshold = threshold
         self.rearm = rearm if rearm is not None else threshold
+        # What comparing an exact value with a float level would build
+        # on every call (``Fraction.from_float``), built once.
+        self._exact_levels = (_exact(self.threshold), _exact(self.rearm))
         self.value: Number | None = None
         self.armed = True
         if initial is not None:
@@ -67,11 +79,15 @@ class ThresholdWatch:
     def observe(self, value: Number) -> bool:
         """Feed one value; returns True when this observation fires."""
         self.value = value
+        if isinstance(value, float):
+            threshold, rearm = self.threshold, self.rearm
+        else:
+            threshold, rearm = self._exact_levels
         if self.armed:
-            if value >= self.threshold:
+            if value >= threshold:
                 self.armed = False
                 return True
-        elif value < self.rearm:
+        elif value < rearm:
             self.armed = True
         return False
 

@@ -40,8 +40,12 @@ class ServeClient:
     @classmethod
     def connect_unix(cls, path: str, timeout: float = 30.0) -> "ServeClient":
         sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        sock.settimeout(timeout)
-        sock.connect(path)
+        try:
+            sock.settimeout(timeout)
+            sock.connect(path)
+        except BaseException:
+            sock.close()
+            raise
         return cls(sock)
 
     @classmethod

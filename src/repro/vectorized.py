@@ -26,7 +26,7 @@ DP.
 from __future__ import annotations
 
 import weakref
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -236,13 +236,3 @@ def confidence_dense_batch(
             mask[pair_index(symbol, state)] = 1.0
     return [float(value) for value in vector @ mask]
 
-
-def confidence_dense_batch_named(
-    sequences: Mapping[str, MarkovSequence],
-    transducer: Transducer,
-    output: Sequence,
-) -> dict[str, float]:
-    """Named-corpus convenience wrapper around the batched DP."""
-    names = list(sequences)
-    values = confidence_dense_batch([sequences[name] for name in names], transducer, output)
-    return dict(zip(names, values))

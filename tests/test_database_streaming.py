@@ -143,7 +143,7 @@ def test_append_rolls_back_all_evaluators_when_one_fails(rng) -> None:
     # database advances its evaluators with.
     boom = RuntimeError("evaluator meltdown")
     original = poisoned._advance
-    poisoned._advance = lambda i: (_ for _ in ()).throw(boom)
+    poisoned._advance = lambda *_args: (_ for _ in ()).throw(boom)
     with pytest.raises(RuntimeError, match="meltdown"):
         db.append("tag", make_fraction_timestep(ALPHABET, rng))
     poisoned._advance = original

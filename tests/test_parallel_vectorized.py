@@ -26,11 +26,7 @@ from repro.runtime.executor import batch_confidence, run_evaluate
 from repro.runtime.plan import QueryPlan
 from repro.transducers.library import collapse_transducer, identity_mealy
 from repro.transducers.transducer import Transducer
-from repro.vectorized import (
-    confidence_dense_batch,
-    confidence_dense_batch_named,
-    dense_batch_eligible,
-)
+from repro.vectorized import confidence_dense_batch, dense_batch_eligible
 
 from tests.conftest import make_fraction_sequence, make_random_dfa, make_sequence
 
@@ -127,7 +123,7 @@ def test_single_stream_rejects_nondeterministic_and_non_uniform() -> None:
 def test_named_wrapper_preserves_corpus_keys() -> None:
     corpus = float_corpus(5)
     output = some_output(corpus)
-    named = confidence_dense_batch_named(corpus, _query(), output)
+    named = batch_confidence(QueryPlan.build(_query()), corpus, output)
     assert list(named) == list(corpus)
     assert list(named.values()) == confidence_dense_batch(
         list(corpus.values()), _query(), output

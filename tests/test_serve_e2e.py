@@ -11,8 +11,13 @@ standing query advances one DP layer per append instead of re-planning.
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
+import sys
+import warnings
 from fractions import Fraction
+
+import pytest
 
 from repro.automata.operations import sigma_star
 from repro.automata.regex import regex_to_dfa, regex_to_nfa
@@ -214,3 +219,16 @@ def test_top_k_across_read_workers_start_no_process(tmp_path, rng) -> None:
         for entry in merged["answers"]
     ]
     assert got == want
+
+
+def test_connect_unix_to_missing_path_closes_its_socket(tmp_path, monkeypatch) -> None:
+    # A socket left open warns from its finalizer, where the error the
+    # filter turns it into can only reach ``sys.unraisablehook``.
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        with pytest.raises(OSError):
+            ServeClient.connect_unix(str(tmp_path / "missing.sock"), timeout=1.0)
+        gc.collect()
+    assert [hook.exc_type for hook in unraisable] == []
