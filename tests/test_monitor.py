@@ -182,3 +182,15 @@ def test_threshold_rearm_above_threshold_rejected() -> None:
 
     with pytest.raises(ReproError, match="re-arm"):
         ThresholdWatch(Fraction(1, 2), rearm=Fraction(3, 4))
+
+
+def test_float_levels_compare_with_exact_values_as_python_does() -> None:
+    # 0.9 is a binary double a little above 9/10: Python compares an exact
+    # value with it exactly, so 9/10 stays below the threshold.
+    watch = ThresholdWatch(0.9, rearm=0.5)
+    above = Fraction.from_float(0.9)
+    values = (Fraction(9, 10), above, Fraction(1, 2), Fraction(1, 2) - Fraction(1, 10**30), 0.9)
+    # 1/2 sits on the re-arm level, so only the value below it re-arms.
+    assert [watch.observe(v) for v in values] == [False, True, False, False, True]
+    assert (watch.threshold, watch.rearm) == (0.9, 0.5)
+    assert type(watch.threshold) is float and type(watch.rearm) is float
