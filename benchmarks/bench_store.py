@@ -14,9 +14,20 @@ two ways over the same directory:
   10-record suffix written after compaction: cost is bounded by the
   compaction interval, independent of history.
 
-``recovery_speedup`` (cold / warm) is the gated metric — pure
-algorithm, no sockets, and it must clear :data:`MIN_SPEEDUP` at full
-scale. ``durable_append_overhead`` (journaled append wall-clock over
+Both are the median (with IQR) of :data:`REPEATS` recoveries; ``cores``
+is the number of cores the process may run on.
+
+The gate is what a snapshot promises, counted rather than timed: warm
+recovery pushes exactly ``suffix`` DP layers per watched evaluator,
+where cold recovery pushes at least ``appends`` (``PlanStats.appends``
+of the recovered evaluators' plans, ``warm_layers``/``cold_layers``).
+A recovery that ignored the snapshot, or re-ran the DP over the
+snapshot's stream, fails it on any machine. ``recovery_speedup``
+(cold / warm seconds) is recorded, and ``benchmarks/regress.py`` keeps
+comparing it with the baseline, but no fixed ratio is asserted here:
+warm recovery's floor is decoding and re-validating the snapshot's
+stream, so the ratio moves whenever replay gets cheaper or dearer.
+``durable_append_overhead`` (journaled append wall-clock over
 in-memory append wall-clock, fsync off as on tmpfs CI) is recorded for
 humans but never gated: absolute I/O numbers do not transfer across
 machines.
@@ -28,6 +39,7 @@ Run as a script to (re)record the ``BENCH_store.json`` baseline::
 
 from __future__ import annotations
 
+import os
 import tempfile
 import time
 from fractions import Fraction
@@ -40,12 +52,19 @@ from repro.markov.builders import homogeneous
 from repro.store import Store, replay, verify_recovery
 from repro.transducers.library import accept_filter
 
-from benchmarks.shape import REPO_ROOT, bench_result, print_series, timed_best, write_result
+from benchmarks.shape import (
+    REPO_ROOT,
+    bench_result,
+    median_iqr,
+    print_series,
+    timed,
+    write_result,
+)
 
 APPENDS = 800
 SUFFIX = 10
+REPEATS = 5
 ALPHABET = "ab"
-MIN_SPEEDUP = 5.0
 
 INITIAL = {"a": Fraction(3, 5), "b": Fraction(2, 5)}
 ROWS = {
@@ -62,6 +81,24 @@ def occurrence_query():
     growing per-record cost.
     """
     return accept_filter(regex_to_dfa("(a|b)*ab(a|b)*", ALPHABET))
+
+
+def layers_pushed(recovered) -> int:
+    """DP layers a recovery pushed through its evaluators: the
+    ``PlanStats.appends`` of their plans, each plan counted once."""
+    plans = {
+        id(evaluator.plan): evaluator.plan
+        for _stream, evaluator in recovered.database.attached_evaluators()
+    }
+    return sum(plan.stats.appends for plan in plans.values())
+
+
+def check_layers(metrics: dict) -> None:
+    """The snapshot's promise: ``suffix`` layers per watch when warm,
+    at least ``appends`` per watch when cold."""
+    watches = metrics["watches"]
+    assert metrics["warm_layers"] == metrics["suffix"] * watches, metrics
+    assert metrics["cold_layers"] >= metrics["appends"] * watches, metrics
 
 
 def measure(appends: int = APPENDS, suffix: int = SUFFIX) -> dict:
@@ -105,8 +142,10 @@ def measure(appends: int = APPENDS, suffix: int = SUFFIX) -> dict:
         durable_append_s = (time.perf_counter() - start) / appends
         store.close()
 
-        cold_s = timed_best(
-            lambda: replay(data_dir, use_snapshot=False), repeats=3
+        cold = replay(data_dir, use_snapshot=False)
+        cold_layers = layers_pushed(cold)
+        cold_s, cold_iqr = median_iqr(
+            [timed(lambda: replay(data_dir, use_snapshot=False)) for _ in range(REPEATS)]
         )
 
         from repro.store import capture_recovered
@@ -122,7 +161,11 @@ def measure(appends: int = APPENDS, suffix: int = SUFFIX) -> dict:
 
         warm = replay(data_dir)
         assert warm.records_replayed == suffix, warm.records_replayed
-        warm_s = timed_best(lambda: replay(data_dir), repeats=3)
+        warm_layers = layers_pushed(warm)
+        watches = len(warm.database.attached_evaluators())
+        warm_s, warm_iqr = median_iqr(
+            [timed(lambda: replay(data_dir)) for _ in range(REPEATS)]
+        )
         report = verify_recovery(data_dir)
         assert report["ok"], report["mismatches"]
 
@@ -132,9 +175,16 @@ def measure(appends: int = APPENDS, suffix: int = SUFFIX) -> dict:
         "plain_append_s": plain_append_s,
         "durable_append_s": durable_append_s,
         "durable_append_overhead": durable_append_s / plain_append_s,
+        "watches": watches,
+        "cold_layers": cold_layers,
+        "warm_layers": warm_layers,
         "cold_recovery_s": cold_s,
+        "cold_recovery_iqr_s": cold_iqr,
         "warm_recovery_s": warm_s,
+        "warm_recovery_iqr_s": warm_iqr,
         "recovery_speedup": cold_s / warm_s,
+        "repeats": REPEATS,
+        "cores": len(os.sched_getaffinity(0)),
     }
 
 
@@ -160,17 +210,26 @@ def common_result(appends: int = APPENDS, suffix: int = SUFFIX) -> dict:
 def report(metrics: dict) -> None:
     print_series(
         f"Durability economics ({metrics['appends']} journaled appends, "
-        f"{metrics['suffix']}-record suffix)",
-        ["path", "seconds", "speedup"],
+        f"{metrics['suffix']}-record suffix; median and IQR of "
+        f"{metrics['repeats']} recoveries, {metrics['cores']} cores)",
+        ["path", "DP layers", "seconds", "IQR", "speedup"],
         [
-            ("cold recovery (full-log replay)", metrics["cold_recovery_s"], 1.0),
+            (
+                "cold recovery (full-log replay)",
+                metrics["cold_layers"],
+                metrics["cold_recovery_s"],
+                metrics["cold_recovery_iqr_s"],
+                1.0,
+            ),
             (
                 "warm recovery (snapshot + suffix)",
+                metrics["warm_layers"],
                 metrics["warm_recovery_s"],
+                metrics["warm_recovery_iqr_s"],
                 metrics["recovery_speedup"],
             ),
-            ("journaled append", metrics["durable_append_s"], None),
-            ("in-memory append", metrics["plain_append_s"], None),
+            ("journaled append", None, metrics["durable_append_s"], None, None),
+            ("in-memory append", None, metrics["plain_append_s"], None, None),
         ],
     )
     print(
@@ -183,17 +242,14 @@ def bench_store_recovery(benchmark) -> None:
     """pytest-benchmark shape check at smoke scale."""
     result = common_result(appends=100)
     report(result["metrics"])
-    assert result["metrics"]["recovery_speedup"] >= 2.0, result["metrics"]
+    check_layers(result["metrics"])
     benchmark(lambda: None)
 
 
 def main() -> None:
     result = common_result()
     report(result["metrics"])
-    assert result["metrics"]["recovery_speedup"] >= MIN_SPEEDUP, (
-        f"recovery_speedup {result['metrics']['recovery_speedup']:.2f} "
-        f"below the {MIN_SPEEDUP}x acceptance gate"
-    )
+    check_layers(result["metrics"])
     path = write_result(result, REPO_ROOT / "BENCH_store.json")
     print(f"  baseline written to {path}")
 

@@ -11,24 +11,28 @@ per-timestep probability profiles and the paper's transducer answers:
 * :func:`occurrence_profile` — ``Pr(some window ending at i matches A)``,
   the standard "event fires at time i" semantics, via a product with the
   unanchored-match automaton.
-* :class:`StreamingMonitor` — the *incremental* form of the above: it
-  keeps the forward layer of the product DP so a growing stream pays one
-  DP layer per appended timestep instead of a from-scratch profile
-  re-run. This is what the service's standing occurrence queries run on.
+* :func:`occurrence_query` — the same event as a transducer query: the
+  accept filter of the unanchored-match DFA, a 0-uniform deterministic
+  transducer whose one answer ``()`` has confidence
+  ``Pr(some window ending at n matches)``. A
+  :class:`~repro.runtime.incremental.StreamingEvaluator` over it pays one
+  DP layer per appended timestep; this is what the service's ``monitor``
+  standing queries watch.
 """
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Mapping
-from fractions import Fraction
+from collections.abc import Hashable
 
-from repro.confidence.layered import automaton_advance, final_layer, forward, step_scaled
+from repro.confidence.layered import automaton_advance, forward
 from repro.markov.sequence import MarkovSequence, Number
 from repro.automata.determinize import determinize
 from repro.automata.dfa import DFA
 from repro.automata.nfa import NFA
 from repro.errors import AlphabetMismatchError, ReproError
-from repro.semiring import scale_layer, scale_rows, unscale_layer
+from repro.transducers.library import accept_filter
+from repro.transducers.sprojector import SProjector
+from repro.transducers.transducer import Transducer
 
 Symbol = Hashable
 
@@ -37,13 +41,8 @@ def query_pattern(query) -> NFA:
     """The regular pattern a monitor standing query watches.
 
     S-projectors watch their pattern component; transducers watch their
-    underlying automaton. Shared by the service's standing-query
-    registration and the store's recovery replay, which must build the
-    exact same unanchored-match DFA.
+    underlying automaton.
     """
-    from repro.transducers.sprojector import SProjector
-    from repro.transducers.transducer import Transducer
-
     if isinstance(query, SProjector):
         return query.pattern.to_nfa()
     if isinstance(query, Transducer):
@@ -76,7 +75,8 @@ def unanchored_match_dfa(pattern: NFA | DFA) -> DFA:
     """DFA for ``Sigma* . L(pattern)`` — "some suffix of the prefix matches".
 
     The classic unanchored-pattern construction: add a self-looping guess
-    of the match start, then determinize.
+    of the match start, then determinize. States are named ``o0..oN``
+    breadth-first (:func:`_named_breadth_first`).
     """
     base = pattern.to_nfa() if isinstance(pattern, DFA) else pattern
     base = base.renamed("m")
@@ -94,7 +94,40 @@ def unanchored_match_dfa(pattern: NFA | DFA) -> DFA:
     nfa = NFA(
         base.alphabet, set(base.states) | {fresh}, fresh, accepting, delta
     )
-    return determinize(nfa)
+    return _named_breadth_first(determinize(nfa), "o")
+
+
+def _named_breadth_first(dfa: DFA, prefix: str) -> DFA:
+    """``dfa`` with its states renamed ``prefix0..prefixN`` in breadth-first
+    order from the initial state over the sorted alphabet.
+
+    The names depend only on the automaton's structure. Subset
+    construction yields frozenset states, whose ``str`` (the form a
+    durable store writes) follows string hashing and so changes with
+    ``PYTHONHASHSEED``; these names do not. Every state of ``dfa`` must
+    be reachable, as :func:`~repro.automata.determinize.determinize`
+    guarantees.
+    """
+    alphabet = sorted(dfa.alphabet, key=repr)
+    names = {dfa.initial: f"{prefix}0"}
+    order = [dfa.initial]
+    for state in order:  # grows while it is walked: a breadth-first queue
+        for symbol in alphabet:
+            target = dfa.step(state, symbol)
+            if target not in names:
+                names[target] = f"{prefix}{len(names)}"
+                order.append(target)
+    return DFA(
+        dfa.alphabet,
+        names.values(),
+        names[dfa.initial],
+        {names[state] for state in dfa.accepting},
+        {
+            (names[state], symbol): names[dfa.step(state, symbol)]
+            for state in order
+            for symbol in alphabet
+        },
+    )
 
 
 def occurrence_profile(sequence: MarkovSequence, pattern: NFA | DFA) -> list[Number]:
@@ -106,103 +139,14 @@ def occurrence_profile(sequence: MarkovSequence, pattern: NFA | DFA) -> list[Num
     return prefix_acceptance_profile(sequence, unanchored_match_dfa(pattern))
 
 
-class StreamingMonitor:
-    """An incrementally maintained per-timestep acceptance probability.
+def occurrence_query(query) -> Transducer:
+    """The transducer a ``monitor`` standing query on ``query`` evaluates.
 
-    Maintains the forward layer of the (stream x DFA) product DP that
-    :func:`prefix_acceptance_profile` sweeps, so ``Pr(S[1..i] in L(dfa))``
-    is available at every timestep of a *growing* stream for one DP
-    layer per append — exactly equal (bit-for-bit over ``Fraction``
-    inputs) to re-running the profile from scratch.
-
-    ``StreamingMonitor.occurrence(sequence, pattern)`` builds the monitor
-    over the unanchored-match DFA, giving the Lahar "event fires at time
-    i" value that the service's standing occurrence queries watch.
-
-    Over exact inputs the layer is kept as integer numerators over one
-    running denominator, so an append does no ``gcd`` per cell
-    (:func:`~repro.confidence.layered.step_scaled`); :attr:`value` and
-    :attr:`layer` divide once.
+    It is the accept filter of the unanchored-match DFA of
+    :func:`query_pattern`: its only answer is ``()``, and the confidence
+    of ``()`` on a stream of length ``i`` is ``occurrence_profile(...)[i-1]``.
+    The service's registration and the store's recovery both build the
+    watch's evaluator from this one function, so the two agree on its
+    plan fingerprint and frontier keys.
     """
-
-    def __init__(self, sequence: MarkovSequence, dfa: DFA) -> None:
-        _check(sequence, dfa)
-        self._dfa = dfa
-        self._advance = automaton_advance(dfa.step)
-        self._length = sequence.length
-        self._layer, self._scale = scale_layer(
-            final_layer(sequence, (dfa.initial,), self._advance)
-        )
-
-    @classmethod
-    def occurrence(
-        cls, sequence: MarkovSequence, pattern: NFA | DFA
-    ) -> "StreamingMonitor":
-        """A monitor of ``Pr(some substring ending at i matches pattern)``."""
-        _check(sequence, pattern)
-        return cls(sequence, unanchored_match_dfa(pattern))
-
-    @classmethod
-    def restore(
-        cls, dfa: DFA, layer: Mapping[tuple[Symbol, object], Number], length: int
-    ) -> "StreamingMonitor":
-        """Rebuild a monitor from a persisted product-DP layer.
-
-        The restart path of :mod:`repro.store`: ``layer`` must be the
-        :attr:`layer` of a monitor over the same DFA at timestep
-        ``length``; no DP is re-run.
-        """
-        self = object.__new__(cls)
-        self._dfa = dfa
-        self._advance = automaton_advance(dfa.step)
-        self._layer, self._scale = scale_layer(layer)
-        self._length = length
-        return self
-
-    def append(self, transition: Mapping[Symbol, Mapping[Symbol, Number]]) -> Number:
-        """Absorb one timestep; returns the new acceptance probability.
-
-        ``transition`` has the same shape as the database append payload
-        (source symbol -> successor distribution). Callers are expected
-        to have validated it (the database append does); the new layer
-        is installed only once it is complete, so a failing push leaves
-        the monitor as it was.
-        """
-        # Zero entries of the raw payload would only add zero-mass cells.
-        rows = {
-            source: {target: prob for target, prob in row.items() if prob != 0}
-            for source, row in transition.items()
-        }
-        self._layer, self._scale = step_scaled(
-            self._layer, self._scale, rows, scale_rows(rows), self._advance
-        )
-        self._length += 1
-        return self.value
-
-    @property
-    def value(self) -> Number:
-        """``Pr(S[1..n] in L(dfa))`` for the stream absorbed so far."""
-        accepting = self._dfa.accepting
-        total = sum(
-            mass for (_s, state), mass in self._layer.items() if state in accepting
-        )
-        return total if self._scale is None else Fraction(total, self._scale)
-
-    @property
-    def length(self) -> int:
-        """Timesteps absorbed so far."""
-        return self._length
-
-    @property
-    def layer(self) -> dict[tuple[Symbol, object], Number]:
-        """A copy of the live product-DP layer (what snapshots persist),
-        exact values as canonical ``Fraction``s."""
-        return unscale_layer(self._layer, self._scale)
-
-    @property
-    def dfa(self) -> DFA:
-        """The monitored DFA."""
-        return self._dfa
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"StreamingMonitor(n={self._length}, layer={len(self._layer)})"
+    return accept_filter(unanchored_match_dfa(query_pattern(query)))

@@ -21,6 +21,7 @@ from collections.abc import Hashable, Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
 
 from repro.errors import InvalidDistributionError, InvalidMarkovSequenceError
+from repro.semiring import _common_denominator, _numerators
 
 Symbol = Hashable
 Number = float | int | Fraction
@@ -36,6 +37,22 @@ _FLOAT_TOLERANCE = 1e-9
 
 
 def _check_distribution(dist: Mapping[Symbol, Number], context: str) -> None:
+    scale = _common_denominator(dist.values())
+    if scale is not None:
+        # Exact rows: integer numerators over the lcm of the denominators,
+        # so the sum pays no ``gcd`` per entry.
+        numerators = _numerators(dist, scale)
+        for symbol, numerator in numerators.items():
+            if numerator < 0 or numerator > scale:
+                raise InvalidDistributionError(
+                    f"{context}: probability {dist[symbol]!r} outside [0, 1]"
+                )
+        mass = sum(numerators.values())
+        if mass != scale:
+            raise InvalidDistributionError(
+                f"{context}: probabilities sum to {Fraction(mass, scale)}, not 1"
+            )
+        return
     total: Number = 0
     exact = True
     for value in dist.values():

@@ -1,16 +1,15 @@
 """Standing queries and threshold-crossing alerts.
 
 A *standing query* attaches a query to a stream once and is advanced on
-every append instead of being re-planned and re-run:
+every append instead of being re-planned and re-run. It watches the
+confidence of one output of a
+:class:`~repro.runtime.incremental.StreamingEvaluator` attached to the
+stream, which the database append advances one DP layer:
 
-* kind ``"answer"`` — watches the confidence of one output of a
-  transducer/s-projector query, maintained by the stream's attached
-  :class:`~repro.runtime.incremental.StreamingEvaluator` (the database
-  advances it one DP layer per append);
-* kind ``"monitor"`` — watches the Lahar "event fires at time i"
-  occurrence probability of a regular pattern, maintained by a
-  :class:`~repro.lahar.monitor.StreamingMonitor` (one product-DP layer
-  per append).
+* kind ``"answer"`` — one output of a transducer/s-projector query;
+* kind ``"monitor"`` — the Lahar "event fires at time i" occurrence
+  probability of a regular pattern: output ``()`` of the accept filter
+  :func:`~repro.lahar.monitor.occurrence_query`.
 
 Either way the watched value feeds a :class:`ThresholdWatch`, which
 fires **exactly once per upward crossing** with hysteresis: after
@@ -26,6 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from repro.errors import ReproError
+from repro.lahar.monitor import occurrence_query
 from repro.markov.sequence import Number
 
 
@@ -113,14 +113,22 @@ class ThresholdWatch:
         return watch
 
 
+def watched_query(kind: str, query):
+    """The query whose attached evaluator backs a standing query of ``kind``
+    registered on ``query``: the query itself for ``"answer"``, its
+    :func:`~repro.lahar.monitor.occurrence_query` for ``"monitor"``."""
+    return occurrence_query(query) if kind == "monitor" else query
+
+
 @dataclass
 class StandingQuery:
     """One registered standing query: source, watcher, and live state.
 
-    ``evaluator``/``monitor`` is the incremental engine (exactly one is
-    set, by ``kind``); ``alerts_fired`` counts upward crossings so far.
-    ``query`` retains the query object itself so the store can journal
-    and snapshot the standing query for crash recovery. ``approx`` is
+    ``evaluator`` is the incremental engine whose ``output`` confidence
+    is watched; ``alerts_fired`` counts upward crossings so far.
+    ``query`` retains the registered query object itself (for a monitor,
+    the pattern query, not its occurrence transducer) so the store can
+    journal and snapshot the standing query for crash recovery. ``approx`` is
     None for exact standing queries; an approximate one (FPRAS-backed
     evaluator) records its ``{"epsilon", "delta", "seed"}`` here so
     every report and alert can be marked as estimated.
@@ -133,22 +141,13 @@ class StandingQuery:
     watch: ThresholdWatch
     output: tuple = ()
     evaluator: object | None = None
-    monitor: object | None = None
     alerts_fired: int = 0
     query: object | None = None
     approx: dict | None = None
 
     def current_value(self) -> Number:
         """The watched value for the stream absorbed so far."""
-        if self.kind == "monitor":
-            return self.monitor.value
         return self.evaluator.confidences().get(self.output, 0)
-
-    def advance_monitor(self, transition) -> None:
-        """Absorb one timestep into the monitor (evaluators are advanced
-        by the database append itself)."""
-        if self.monitor is not None:
-            self.monitor.append(transition)
 
     def describe(self) -> dict:
         described = {
@@ -237,16 +236,15 @@ class AlertEngine:
     def __len__(self) -> int:
         return len(self._standing)
 
-    def observe_append(self, stream: str, transition, timestep: int) -> list[Alert]:
-        """Advance every standing query on ``stream`` one timestep.
+    def observe_append(self, stream: str, timestep: int) -> list[Alert]:
+        """Feed every standing query on ``stream`` its value after an append.
 
-        The database has already advanced the attached evaluators;
-        monitors absorb the transition here. Returns the alerts fired by
-        this append, in standing-query name order.
+        The database append has already advanced every evaluator behind
+        them. Returns the alerts fired by this append, in standing-query
+        name order.
         """
         alerts: list[Alert] = []
         for standing in self.on_stream(stream):
-            standing.advance_monitor(transition)
             value = standing.current_value()
             if standing.watch.observe(value):
                 standing.alerts_fired += 1

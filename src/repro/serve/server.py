@@ -4,8 +4,8 @@
 :class:`~repro.serve.sharding.ShardedDatabase`: clients connect over a
 TCP or unix socket, speak the NDJSON protocol of
 :mod:`repro.serve.protocol`, and the server maintains *standing
-queries* — each ``append`` advances the stream's attached incremental
-engines one DP layer (never a from-scratch re-plan) and pushes an alert
+queries* — each ``append`` advances the stream's attached streaming
+evaluators one DP layer (never a from-scratch re-plan) and pushes an alert
 event to subscribers whenever a standing query's watched confidence
 crosses its registered threshold (:mod:`repro.serve.alerts`).
 
@@ -52,8 +52,7 @@ from repro import telemetry
 from repro.core.engine import approximate_confidence, compute_confidence
 from repro.errors import ReproError
 from repro.io.json_format import query_from_dict, sequence_from_dict
-from repro.lahar.monitor import StreamingMonitor, query_pattern
-from repro.serve.alerts import AlertEngine, StandingQuery, ThresholdWatch
+from repro.serve.alerts import AlertEngine, StandingQuery, ThresholdWatch, watched_query
 from repro.serve.protocol import (
     PROTOCOL,
     ProtocolError,
@@ -72,11 +71,6 @@ from repro.serve.sharding import ShardedDatabase
 
 #: Seconds allowed for per-session queue drain during graceful shutdown.
 DEFAULT_DRAIN_TIMEOUT = 5.0
-
-
-#: The regular pattern watched by a ``monitor`` standing query (shared
-#: with the store's recovery replay, which must build the same DFA).
-_pattern_of = query_pattern
 
 
 def _approx_stream_seed(base: int, stream: str, length: int) -> int:
@@ -508,7 +502,7 @@ class ReproServer:
         async with self._locks[index]:
             start = time.perf_counter()
             grown = self.db.append(stream, transition)
-            fired = self.alerts.observe_append(stream, transition, grown.length)
+            fired = self.alerts.observe_append(stream, grown.length)
             elapsed = time.perf_counter() - start
         self.appends += 1
         self.alerts_fired += len(fired)
@@ -579,29 +573,23 @@ class ReproServer:
         async with self._locks[index]:
             if name in self.alerts.names():
                 raise ReproError(f"standing query {name!r} already exists")
-            evaluator = monitor = None
-            if kind == "answer":
-                watched = tuple(output) if output is not None else ()
-                if approx is not None:
-                    evaluator = _ApproxAnswerEvaluator(
-                        self.db,
-                        stream,
-                        query,
-                        watched,
-                        approx["epsilon"],
-                        approx["delta"],
-                        approx["seed"],
-                        params.get("max_samples"),
-                    )
-                else:
-                    evaluator = self.db.streaming_evaluator(stream, query)
-                initial = evaluator.confidences().get(watched, 0)
-            else:
-                watched = ()
-                monitor = StreamingMonitor.occurrence(
-                    self.db.stream(stream), _pattern_of(query)
+            watched = tuple(output) if kind == "answer" and output is not None else ()
+            if approx is not None:
+                evaluator = _ApproxAnswerEvaluator(
+                    self.db,
+                    stream,
+                    query,
+                    watched,
+                    approx["epsilon"],
+                    approx["delta"],
+                    approx["seed"],
+                    params.get("max_samples"),
                 )
-                initial = monitor.value
+            else:
+                evaluator = self.db.streaming_evaluator(
+                    stream, watched_query(kind, query)
+                )
+            initial = evaluator.confidences().get(watched, 0)
             watch = ThresholdWatch(threshold, rearm, initial=initial)
             # Write-ahead: journal after everything that can fail has
             # succeeded, before the registration becomes visible.
@@ -618,7 +606,6 @@ class ReproServer:
                     watch=watch,
                     output=watched,
                     evaluator=evaluator,
-                    monitor=monitor,
                     query=query,
                     approx=approx,
                 )

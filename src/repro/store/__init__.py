@@ -11,7 +11,7 @@ store attached) crash durability with *incremental* recovery:
     recovery; interior corruption refuses loudly.
 :mod:`~repro.store.snapshot`
     Atomic frontier snapshots: (plan fingerprint, DP frontier, timestep)
-    triples for every attached evaluator and monitor, plus streams,
+    triples for every attached evaluator, plus streams,
     queries, and standing-query hysteresis state.
 :mod:`~repro.store.recovery`
     Snapshot + log-suffix replay rebuilding the database, evaluators,

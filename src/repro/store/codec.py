@@ -1,8 +1,9 @@
 """Exact, JSON-safe encoding of frontier cells and probability values.
 
 A streaming frontier maps *hashable composite keys* to probability mass:
-deterministic-plan cells are ``(node, state, output)`` triples, monitor
-cells are ``(node, dfa_state)`` pairs, and the state coordinates may be
+deterministic-plan cells are ``(node, state, output)`` triples (snapshots
+written before monitor watches ran on evaluators also hold
+``(node, dfa_state)`` monitor cells), and the state coordinates may be
 arbitrary nestings of strings, tuples, and frozensets (subset
 construction produces frozensets of states; product constructions
 produce tuples). Snapshots must round-trip these keys **bit-exactly** —

@@ -11,8 +11,8 @@ plus its attached evaluators and the standing-query
    recovery continues; *interior* damage always refuses with a
    :class:`~repro.errors.ReproError`);
 3. apply every record with ``lsn > snapshot.lsn``, mirroring the
-   server's own handling exactly — appends advance evaluators and
-   monitors one DP layer and feed each standing query's threshold watch,
+   server's own handling exactly — appends advance every attached
+   evaluator one DP layer and feed each standing query's threshold watch,
    so alert hysteresis (armed flag, fired counts) is reproduced
    bit-identically, never re-fired and never swallowed.
 
@@ -36,9 +36,8 @@ from repro import telemetry
 from repro.errors import ReproError
 from repro.io.json_format import query_from_dict, sequence_from_dict, sequence_to_dict
 from repro.lahar.database import MarkovStreamDatabase
-from repro.lahar.monitor import StreamingMonitor, query_pattern, unanchored_match_dfa
 from repro.runtime.incremental import StreamingEvaluator
-from repro.serve.alerts import AlertEngine, StandingQuery, ThresholdWatch
+from repro.serve.alerts import AlertEngine, StandingQuery, ThresholdWatch, watched_query
 from repro.store.codec import decode_term, decode_transition, decode_value, encode_value
 from repro.store.snapshot import (
     EvaluatorState,
@@ -138,18 +137,14 @@ def _apply_snapshot(recovered: RecoveredState, state) -> None:
         watch = ThresholdWatch.restore(
             entry.threshold, entry.rearm, entry.value, entry.armed
         )
-        evaluator = monitor = None
-        if entry.kind == "monitor":
-            # Subset construction is deterministic, so the rebuilt DFA's
-            # states are value-equal to the ones in the persisted layer.
-            dfa = unanchored_match_dfa(query_pattern(entry.query))
-            monitor = StreamingMonitor.restore(
-                dfa, entry.monitor_layer, entry.monitor_length
-            )
-        else:
-            evaluator = recovered.database.streaming_evaluator(
-                entry.stream, entry.query
-            )
+        # The evaluator behind the watch is one of the snapshot's
+        # evaluators restored above. A snapshot written before monitor
+        # watches ran on evaluators has none for them: this builds it
+        # with one full DP over the stream, which gives the same exact
+        # value.
+        evaluator = recovered.database.streaming_evaluator(
+            entry.stream, watched_query(entry.kind, entry.query)
+        )
         recovered.alerts.register(
             StandingQuery(
                 name=entry.name,
@@ -159,7 +154,6 @@ def _apply_snapshot(recovered: RecoveredState, state) -> None:
                 watch=watch,
                 output=tuple(entry.output),
                 evaluator=evaluator,
-                monitor=monitor,
                 alerts_fired=entry.alerts_fired,
                 query=entry.query,
             )
@@ -197,9 +191,8 @@ def _replay_stream_created(recovered: RecoveredState, data: dict) -> None:
 
 def _replay_append(recovered: RecoveredState, data: dict) -> None:
     stream = data["stream"]
-    transition = decode_transition(data["transition"])
-    grown = recovered.database.append(stream, transition)
-    recovered.alerts.observe_append(stream, transition, grown.length)
+    grown = recovered.database.append(stream, decode_transition(data["transition"]))
+    recovered.alerts.observe_append(stream, grown.length)
 
 
 def _replay_stream_dropped(recovered: RecoveredState, data: dict) -> None:
@@ -218,26 +211,19 @@ def _replay_standing_registered(recovered: RecoveredState, data: dict) -> None:
     output = decode_term(data["output"])
     threshold = decode_value(data["threshold"])
     rearm = decode_value(data["rearm"]) if data.get("rearm") is not None else None
-    kind = data["kind"]
-    evaluator = monitor = None
-    if kind == "answer":
-        evaluator = recovered.database.streaming_evaluator(data["stream"], query)
-        initial = evaluator.confidences().get(tuple(output), 0)
-    else:
-        monitor = StreamingMonitor.occurrence(
-            recovered.database.stream(data["stream"]), query_pattern(query)
-        )
-        initial = monitor.value
+    evaluator = recovered.database.streaming_evaluator(
+        data["stream"], watched_query(data["kind"], query)
+    )
+    initial = evaluator.confidences().get(tuple(output), 0)
     recovered.alerts.register(
         StandingQuery(
             name=data["name"],
             stream=data["stream"],
-            kind=kind,
+            kind=data["kind"],
             query_label=data["label"],
             watch=ThresholdWatch(threshold, rearm, initial=initial),
             output=tuple(output),
             evaluator=evaluator,
-            monitor=monitor,
             query=query,
         )
     )
@@ -291,8 +277,6 @@ def capture_state(streams, queries, evaluators, alerts: AlertEngine) -> StoreSta
                 value=standing.watch.value,
                 armed=standing.watch.armed,
                 alerts_fired=standing.alerts_fired,
-                monitor_length=standing.monitor.length if standing.monitor else None,
-                monitor_layer=standing.monitor.layer if standing.monitor else None,
             )
         )
     return state
@@ -337,10 +321,11 @@ def verify_recovery(data_dir: str | Path, plan_cache=None) -> dict:
 
     # --- DP referee: recovered frontiers vs from-scratch evaluation ---
     for stream, evaluator in fast.database.attached_evaluators():
-        fresh = StreamingEvaluator(
-            evaluator.plan.query, fast.database.stream(stream)
-        )
-        if fresh.confidences() != evaluator.confidences():
+        # The same plan, so both frontiers key their cells by the same
+        # state objects; comparing frontiers, not answers, also catches a
+        # bad mass in a cell that no answer reads yet.
+        fresh = StreamingEvaluator(evaluator.plan, fast.database.stream(stream))
+        if fresh.frontier != evaluator.frontier:
             mismatches.append(
                 f"evaluator on {stream!r} "
                 f"({evaluator.plan.fingerprint[:12]}) diverges from "
@@ -348,17 +333,14 @@ def verify_recovery(data_dir: str | Path, plan_cache=None) -> dict:
             )
     for name in fast.alerts.names():
         standing = fast.alerts.get(name)
-        sequence = fast.database.stream(standing.stream)
-        if standing.kind == "monitor":
-            referee = StreamingMonitor.occurrence(
-                sequence, query_pattern(standing.query)
-            ).value
-        else:
-            referee = (
-                StreamingEvaluator(standing.query, sequence)
-                .confidences()
-                .get(standing.output, 0)
+        referee = (
+            StreamingEvaluator(
+                watched_query(standing.kind, standing.query),
+                fast.database.stream(standing.stream),
             )
+            .confidences()
+            .get(standing.output, 0)
+        )
         if standing.current_value() != referee:
             mismatches.append(
                 f"standing {name!r} value {standing.current_value()!r} "

@@ -12,7 +12,12 @@ service holds in memory at one log position:
   in the persisted frontier keys);
 * every standing query, including its
   :class:`~repro.serve.alerts.ThresholdWatch` hysteresis state (value +
-  armed flag) and, for monitor-kind queries, the product-DP layer.
+  armed flag). Its engine is one of the evaluators above, a monitor
+  watch's included, so no standing entry carries a frontier of its own.
+  Snapshots written before monitor watches ran on evaluators hold a
+  ``"monitor"`` field with a product-DP layer; the decoder accepts and
+  ignores it, and recovery rebuilds that watch's evaluator from the
+  stream with one full DP, which gives the same exact value.
 
 Recovery loads the newest snapshot and replays only records with
 ``lsn > snapshot.lsn`` — the whole point: restart cost is proportional
@@ -80,8 +85,6 @@ class StandingState:
     value: object
     armed: bool
     alerts_fired: int
-    monitor_length: int | None = None
-    monitor_layer: dict | None = None
 
 
 @dataclass
@@ -130,14 +133,6 @@ def state_to_dict(state: StoreState) -> dict:
                 ),
                 "armed": entry.armed,
                 "alerts_fired": entry.alerts_fired,
-                "monitor": (
-                    {
-                        "length": entry.monitor_length,
-                        "layer": encode_frontier(entry.monitor_layer),
-                    }
-                    if entry.monitor_layer is not None
-                    else None
-                ),
             }
             for entry in sorted(state.standing, key=lambda s: s.name)
         ],
@@ -173,7 +168,6 @@ def state_from_dict(document: dict) -> StoreState:
                 )
             )
         for entry in document.get("standing", []):
-            monitor = entry.get("monitor")
             state.standing.append(
                 StandingState(
                     name=entry["name"],
@@ -191,10 +185,6 @@ def state_from_dict(document: dict) -> StoreState:
                     ),
                     armed=bool(entry["armed"]),
                     alerts_fired=entry["alerts_fired"],
-                    monitor_length=monitor["length"] if monitor else None,
-                    monitor_layer=(
-                        decode_frontier(monitor["layer"]) if monitor else None
-                    ),
                 )
             )
     except (KeyError, TypeError) as exc:

@@ -2,10 +2,10 @@
 keep bit-identical.
 
 The first tests check :mod:`repro.confidence.layered` on its own. The
-streaming evaluator's ``frontier`` and the monitor's ``layer`` are
+streaming evaluator's ``frontier`` (a monitor watch's included) is
 what ``repro-store/1`` snapshots persist, and the per-append
 ``runtime.append.cells`` value is the ``dp_layer_cells`` cost counter.
-The literal dicts and counts below pin all three on a tiny exact
+The literal dicts and counts below pin both on a tiny exact
 instance, so a snapshot written by an earlier revision still restores
 and the counter keeps its meaning.
 """
@@ -30,13 +30,13 @@ from repro.confidence.layered import (
     step,
     step_back,
 )
-from repro.lahar.monitor import StreamingMonitor
+from repro.lahar.monitor import unanchored_match_dfa
 from repro.markov.sequence import MarkovSequence
 from repro.oracle.generators import make_fraction_sequence, make_random_dfa
 from repro.runtime.incremental import StreamingEvaluator
 from repro.runtime.plan import QueryPlan
 from repro.semiring import ALL_SEMIRINGS, LOG, REAL, TROPICAL, VITERBI
-from repro.transducers.library import collapse_transducer
+from repro.transducers.library import accept_filter, collapse_transducer
 from repro.transducers.transducer import Transducer
 
 #: Length 2, exact: a world ``b b`` is impossible.
@@ -224,18 +224,24 @@ def test_nondeterministic_frontier_and_cells_are_pinned() -> None:
 
 @pytest.mark.parametrize("zero_entries", [False, True])
 def test_monitor_layer_is_pinned(zero_entries: bool) -> None:
-    monitor = StreamingMonitor.occurrence(SEQUENCE, regex_to_nfa("ab", "ab"))
-    initial = frozenset({"m_start"})
-    seen_a = frozenset({"m_start", "m1", "m2"})
-    matched = frozenset({"m_start", "m3"})
-    assert monitor.dfa.initial == initial
-    assert monitor.layer == {("a", seen_a): F(3, 4), ("b", matched): F(1, 4)}
-    assert monitor.value == F(1, 4)
+    """A monitor watch's layer is the frontier of the occurrence
+    evaluator; its state names come from a breadth-first walk of the
+    unanchored-match DFA, so the snapshot keys are pinned too."""
+    evaluator = StreamingEvaluator(
+        accept_filter(unanchored_match_dfa(regex_to_nfa("ab", "ab"))), SEQUENCE
+    )
+    initial, seen_a, matched = "o0", "o1", "o2"
+    assert evaluator.plan.compiled.nfa.initial == initial
+    assert evaluator.frontier == {
+        ("a", seen_a, ()): F(3, 4),
+        ("b", matched, ()): F(1, 4),
+    }
+    assert evaluator.confidences() == {(): F(1, 4)}
     # An explicit zero in the appended payload adds no cell.
     payload = {"a": STEP["a"], "b": {"a": F(0), "b": F(1)}} if zero_entries else STEP
-    assert monitor.append(payload) == F(3, 8)
-    assert monitor.layer == {
-        ("a", seen_a): F(3, 8),
-        ("b", matched): F(3, 8),
-        ("b", initial): F(1, 4),
+    assert evaluator.append(payload) == {(): F(3, 8)}
+    assert evaluator.frontier == {
+        ("a", seen_a, ()): F(3, 8),
+        ("b", matched, ()): F(3, 8),
+        ("b", initial, ()): F(1, 4),
     }

@@ -98,6 +98,61 @@ def test_exact_validation_is_exact() -> None:
         MarkovSequence("ab", {"a": Fraction(1, 3), "b": Fraction(1, 3)}, [])
 
 
+def _running_sum_verdict(row) -> str | None:
+    """The row check as a running sum of the values as they are: the
+    accept/reject behaviour (and message) the integer check must keep."""
+    total = 0
+    exact = True
+    for value in row.values():
+        if isinstance(value, float):
+            exact = False
+        if value < 0 or value > 1:
+            return f"probability {value!r} outside [0, 1]"
+        total = total + value
+    if (total != 1) if exact else (abs(total - 1.0) > 1e-9):
+        return f"probabilities sum to {total}, not 1"
+    return None
+
+
+_TINY = Fraction(1, 10**30)
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        {"a": Fraction(1, 3), "b": Fraction(2, 3), "c": 0},
+        {"a": Fraction(1, 2), "b": Fraction(1, 2) + _TINY, "c": 0},
+        {"a": Fraction(1, 2), "b": Fraction(1, 2) - _TINY, "c": 0},
+        {"a": Fraction(-1, 2), "b": Fraction(1, 2), "c": 1},
+        {"a": Fraction(3, 2), "b": Fraction(-1, 2), "c": 0},
+        {"a": 0, "b": 2, "c": -1},
+        {"a": 1, "b": 0, "c": 0},
+        {"a": 1, "b": 1, "c": 0},
+        {"a": 0.1, "b": 0.9 + 5e-10, "c": 0.0},
+        {"a": 0.1, "b": 0.9 + 5e-9, "c": 0.0},
+        {"a": 0.5, "b": 0.6, "c": -0.1},
+        {"a": 0, "b": Fraction(1, 4), "c": 0.75},
+        {"a": 1, "b": Fraction(0), "c": 0.0},
+        {"a": Fraction(1, 3), "b": 0.5, "c": 1},
+        {"a": True, "b": Fraction(0), "c": 0},
+        {},
+    ],
+)
+def test_exact_rows_are_checked_on_integer_numerators(row) -> None:
+    """Exact rows are summed as numerators over the lcm of their
+    denominators; every row is accepted or rejected, with the same
+    message, as a running sum of its values would decide."""
+    stream = uniform_iid("abc", 1, exact=True)
+    transition = {source: row for source in "abc"}
+    verdict = _running_sum_verdict(row)
+    if verdict is None:
+        assert stream.extended(transition).length == 2
+    else:
+        with pytest.raises(InvalidDistributionError) as caught:
+            stream.extended(transition)
+        assert str(caught.value) == f"appended transition, source 'a': {verdict}"
+
+
 def test_sample_stays_in_support(simple: MarkovSequence) -> None:
     rng = random.Random(5)
     support = {w for w, _p in simple.worlds()}

@@ -8,16 +8,21 @@ from fractions import Fraction
 
 import pytest
 
-from repro.errors import AlphabetMismatchError
+from repro.errors import AlphabetMismatchError, ReproError
 from repro.markov.builders import uniform_iid
+from repro.automata.operations import sigma_star
 from repro.automata.regex import regex_to_dfa, regex_to_nfa
 from repro.lahar.monitor import (
-    StreamingMonitor,
     occurrence_profile,
+    occurrence_query,
     prefix_acceptance_profile,
+    query_pattern,
     unanchored_match_dfa,
 )
+from repro.runtime.incremental import StreamingEvaluator
 from repro.serve.alerts import ThresholdWatch
+from repro.transducers.library import accept_filter
+from repro.transducers.sprojector import SProjector
 
 from tests.conftest import make_fraction_timestep, make_sequence
 
@@ -100,43 +105,56 @@ def test_alphabet_mismatch() -> None:
 
 
 # ---------------------------------------------------------------------------
-# StreamingMonitor: one product-DP layer per append
+# Monitor watches: a StreamingEvaluator over the occurrence accept filter
 # ---------------------------------------------------------------------------
 
 
 def test_streaming_monitor_tracks_occurrence_profile_exactly(rng) -> None:
     """Each appended timestep lands bit-identically on the from-scratch
-    profile of the grown sequence (exact Fraction arithmetic)."""
+    profile of the grown sequence (exact Fraction arithmetic), whichever
+    query form the watch takes its pattern from: an s-projector's pattern
+    component or a transducer's automaton."""
     from tests.conftest import make_fraction_sequence
 
-    sequence = make_fraction_sequence("ab", 3, rng)
-    pattern = regex_to_nfa("ab", "ab")
-    monitor = StreamingMonitor.occurrence(sequence, pattern)
-    assert monitor.value == occurrence_profile(sequence, pattern)[-1]
-    for _ in range(4):
-        transition = make_fraction_timestep("ab", rng)
-        sequence = sequence.extended(transition)
-        value = monitor.append(transition)
-        assert monitor.length == sequence.length
-        assert value == occurrence_profile(sequence, pattern)[-1]
+    alphabet = sigma_star("ab")
+    for query in (
+        SProjector(alphabet, regex_to_dfa("ab", "ab"), alphabet),
+        accept_filter(regex_to_dfa("ab", "ab")),
+    ):
+        sequence = make_fraction_sequence("ab", 3, rng)
+        pattern = query_pattern(query)
+        evaluator = StreamingEvaluator(occurrence_query(query), sequence)
+        assert evaluator.confidences().get((), 0) == occurrence_profile(sequence, pattern)[-1]
+        for _ in range(4):
+            transition = make_fraction_timestep("ab", rng)
+            sequence = sequence.extended(transition)
+            value = evaluator.append(transition).get((), 0)
+            assert evaluator.length == sequence.length
+            assert value == occurrence_profile(sequence, pattern)[-1]
 
 
 def test_streaming_monitor_prefix_acceptance(rng) -> None:
     sequence = uniform_iid("ab", 2, exact=True)
     dfa = regex_to_dfa("a.*", "ab")  # starts with a
-    monitor = StreamingMonitor(sequence, dfa)
-    assert monitor.value == Fraction(1, 2)
+    evaluator = StreamingEvaluator(accept_filter(dfa), sequence)
+    assert evaluator.confidences() == {(): Fraction(1, 2)}
     grown = sequence
     for _ in range(3):
         transition = make_fraction_timestep("ab", random.Random(7))
         grown = grown.extended(transition)
-        monitor.append(transition)
-    assert monitor.value == prefix_acceptance_profile(grown, dfa)[-1]
+        evaluator.append(transition)
+    assert evaluator.confidences()[()] == prefix_acceptance_profile(grown, dfa)[-1]
 
 
 def test_streaming_monitor_checks_alphabet() -> None:
+    query = accept_filter(regex_to_dfa("a", "abc"))
     with pytest.raises(AlphabetMismatchError):
-        StreamingMonitor(uniform_iid("ab", 2), regex_to_dfa("a", "abc"))
+        StreamingEvaluator(occurrence_query(query), uniform_iid("ab", 2))
+
+
+def test_occurrence_query_needs_a_transducer_or_sprojector() -> None:
+    with pytest.raises(ReproError, match="transducer or s-projector"):
+        occurrence_query(regex_to_dfa("ab", "ab"))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Incremental engines on integer numerators over one common denominator.
 
-A :class:`StreamingEvaluator` or :class:`StreamingMonitor` over exact
-inputs keeps its layer as integer numerators plus a running denominator
+A :class:`StreamingEvaluator` over exact inputs (a monitor watch's
+occurrence evaluator included) keeps its layer as integer numerators
+plus a running denominator
 (the scale) and divides only when it is read. These tests hold it to the
 ``Fraction`` referee (the same layered DP run on the values as they
 are): exact streams read ``==`` rationals, float streams read the very
@@ -13,6 +14,7 @@ numerators and scale together.
 from __future__ import annotations
 
 import itertools
+import json
 import random
 import shutil
 from fractions import Fraction
@@ -28,9 +30,8 @@ from repro.core.engine import evaluate
 from repro.errors import ReproError
 from repro.io.json_format import query_from_dict, query_to_dict
 from repro.lahar import database as database_module
-from repro.lahar import monitor as monitor_module
 from repro.lahar.database import MarkovStreamDatabase
-from repro.lahar.monitor import StreamingMonitor, occurrence_profile, query_pattern
+from repro.lahar.monitor import occurrence_profile, occurrence_query, query_pattern
 from repro.markov.builders import homogeneous
 from repro.runtime import incremental as incremental_module
 from repro.runtime.cache import plan_for
@@ -113,21 +114,24 @@ def referee(query, sequence) -> dict:
     return conf
 
 
+def monitor_query() -> Transducer:
+    """What a monitor watch on the pattern ``ab`` evaluates."""
+    return occurrence_query(accept_filter(regex_to_dfa("ab", ALPHABET)))
+
+
 def monitor_referee(sequence) -> object:
     return occurrence_profile(sequence, regex_to_dfa("ab", ALPHABET))[-1]
 
 
-def streaming_db(sequence) -> tuple[MarkovStreamDatabase, dict, StreamingMonitor]:
+def monitor_value(monitor: StreamingEvaluator) -> object:
+    return monitor.confidences().get((), 0)
+
+
+def streaming_db(sequence) -> tuple[MarkovStreamDatabase, dict, StreamingEvaluator]:
     db = MarkovStreamDatabase()
     db.register_stream("s", sequence)
     evaluators = {name: db.streaming_evaluator("s", q) for name, q in queries().items()}
-    monitor = StreamingMonitor.occurrence(sequence, regex_to_dfa("ab", ALPHABET))
-    return db, evaluators, monitor
-
-
-def append(db, monitor, transition) -> None:
-    db.append("s", transition)
-    monitor.append(transition)
+    return db, evaluators, db.streaming_evaluator("s", monitor_query())
 
 
 def assert_matches_referee(db, evaluators, monitor) -> None:
@@ -138,14 +142,14 @@ def assert_matches_referee(db, evaluators, monitor) -> None:
         got, want = evaluators[name].confidences(), referee(query, sequence)
         assert got == want, name
         assert [type(v) for v in got.values()] == [type(v) for v in want.values()], name
-    want = monitor_referee(sequence)
-    assert monitor.value == want and type(monitor.value) is type(want)
+    got, want = monitor_value(monitor), monitor_referee(sequence)
+    assert got == want and type(got) is type(want)
 
 
 def test_thousand_mixed_denominator_appends_equal_the_fraction_referee() -> None:
     db, evaluators, monitor = streaming_db(exact_stream())
     for count, transition in enumerate(timesteps(1000), start=1):
-        append(db, monitor, transition)
+        db.append("s", transition)
         if count in (1, 10, 250, 1000):
             assert_matches_referee(db, evaluators, monitor)
     sequence = db.stream("s")
@@ -158,7 +162,7 @@ def test_thousand_mixed_denominator_appends_equal_the_fraction_referee() -> None
     for evaluator in evaluators.values():
         assert evaluator._scale is not None
         assert all(type(v) is Fraction for v in evaluator.confidences().values())
-    assert type(monitor.value) is Fraction
+    assert type(monitor_value(monitor)) is Fraction
 
 
 def test_nondeterministic_frontier_equals_the_referee() -> None:
@@ -186,7 +190,7 @@ def test_float_stream_reads_bit_identical_floats() -> None:
         for k in range(1, 10)
     ]
     for transition in float_steps * 4:
-        append(db, monitor, transition)
+        db.append("s", transition)
         assert_matches_referee(db, evaluators, monitor)
     for evaluator in evaluators.values():
         assert evaluator._scale is None
@@ -196,18 +200,18 @@ def test_float_stream_reads_bit_identical_floats() -> None:
 def test_float_row_on_an_exact_stream_drops_back_to_todays_values() -> None:
     db, evaluators, monitor = streaming_db(exact_stream())
     for transition in timesteps(20):
-        append(db, monitor, transition)
+        db.append("s", transition)
     assert evaluators["ab"]._scale is not None
-    append(db, monitor, MIXED_ROWS)
+    db.append("s", MIXED_ROWS)
     assert evaluators["ab"]._scale is None
     assert_matches_referee(db, evaluators, monitor)
     assert any(type(v) is Fraction for v in evaluators["ab"].frontier.values())
-    append(db, monitor, FLOAT_ROWS)
+    db.append("s", FLOAT_ROWS)
     assert_matches_referee(db, evaluators, monitor)
     for transition in timesteps(20, seed=8):
-        append(db, monitor, transition)
+        db.append("s", transition)
         assert_matches_referee(db, evaluators, monitor)
-    assert type(monitor.value) is float
+    assert type(monitor_value(monitor)) is float
 
 
 def test_rejected_appends_roll_back_numerators_and_scale() -> None:
@@ -266,11 +270,11 @@ def test_restore_from_a_fraction_frontier_reproduces_later_confidences() -> None
 
 
 def test_monitor_restore_relifts_its_layer() -> None:
-    monitor = StreamingMonitor.occurrence(exact_stream(), regex_to_dfa("ab", ALPHABET))
+    monitor = StreamingEvaluator(monitor_query(), exact_stream())
     for transition in timesteps(15):
         monitor.append(transition)
-    restored = StreamingMonitor.restore(monitor.dfa, monitor.layer, monitor.length)
-    assert restored._scale is not None and restored.layer == monitor.layer
+    restored = StreamingEvaluator.restore(monitor_query(), monitor.sequence, monitor.frontier)
+    assert restored._scale is not None and restored.frontier == monitor.frontier
     for transition in timesteps(15, seed=4):
         assert restored.append(transition) == monitor.append(transition)
 
@@ -283,7 +287,7 @@ def test_one_append_lifts_its_timestep_once_for_24_evaluators(monkeypatch) -> No
         calls.append(rows)
         return original(rows)
 
-    for module in (semiring, database_module, incremental_module, monitor_module):
+    for module in (semiring, database_module, incremental_module):
         monkeypatch.setattr(module, "scale_rows", counting)
     db = MarkovStreamDatabase()
     db.register_stream("s", exact_stream())
@@ -332,7 +336,7 @@ def write_store(data_dir: Path) -> None:
         )
     )
     occurrence = canonical(pattern_query("bb"))
-    monitor = StreamingMonitor.occurrence(db.stream("s"), query_pattern(occurrence))
+    monitor = db.streaming_evaluator("s", occurrence_query(occurrence))
     store.log_standing_registered(
         "monitor", "s", "monitor", "bb", occurrence, (), F(1, 2), F(1, 4)
     )
@@ -342,14 +346,14 @@ def write_store(data_dir: Path) -> None:
             stream="s",
             kind="monitor",
             query_label="bb",
-            watch=ThresholdWatch(F(1, 2), F(1, 4), initial=monitor.value),
-            monitor=monitor,
+            watch=ThresholdWatch(F(1, 2), F(1, 4), initial=monitor_value(monitor)),
+            evaluator=monitor,
             query=occurrence,
         )
     )
     for count, transition in enumerate(timesteps(50, seed=11), start=1):
         grown = db.append("s", transition)
-        alerts.observe_append("s", transition, grown.length)
+        alerts.observe_append("s", grown.length)
         if count == 40:
             streams = {name: db.stream(name) for name in db.streams()}
             store.compact(
@@ -363,26 +367,42 @@ def test_a_snapshot_written_before_integer_frontiers_still_recovers(tmp_path) ->
     shutil.copytree(OLD_STORE, old)
     new = tmp_path / "new"
     write_store(new)
-    # The representation is in memory only: today's snapshot is the
-    # same file, byte for byte.
     (old_snapshot,) = (old / "snapshots").iterdir()
     (new_snapshot,) = (new / "snapshots").iterdir()
     assert old_snapshot.name == new_snapshot.name
-    assert old_snapshot.read_bytes() == new_snapshot.read_bytes()
+    # The integer representation is in memory only, so everything but the
+    # monitor watch is the same document. The old file keeps the monitor's
+    # product-DP layer on its standing entry; today's snapshot drops that
+    # field and holds the watch's occurrence evaluator beside the others.
+    old_doc = json.loads(old_snapshot.read_text())
+    new_doc = json.loads(new_snapshot.read_text())
+    assert old_doc["streams"] == new_doc["streams"]
+    assert old_doc["queries"] == new_doc["queries"]
+    (answer_entry,) = old_doc["evaluators"]
+    assert answer_entry in new_doc["evaluators"] and len(new_doc["evaluators"]) == 2
+    old_monitor = {entry["name"]: entry for entry in old_doc["standing"]}["monitor"]
+    assert old_monitor["monitor"]["layer"] and old_monitor["monitor"]["length"] == 42
+    for entry in old_doc["standing"]:
+        entry.pop("monitor")
+    assert old_doc["standing"] == new_doc["standing"]
 
     assert verify_recovery(old)["ok"]
     recovered, fresh = replay(old), replay(new)
     sequence = recovered.database.stream("s")
     assert sequence.length == 52
     for name in ("answer", "monitor"):
-        standing = recovered.alerts.get(name)
-        assert standing.current_value() == fresh.alerts.get(name).current_value()
-        assert standing.watch.armed == fresh.alerts.get(name).watch.armed
+        standing, twin = recovered.alerts.get(name), fresh.alerts.get(name)
+        assert standing.current_value() == twin.current_value()
+        assert standing.watch.armed == twin.watch.armed
+        assert standing.alerts_fired == twin.alerts_fired
     answer = recovered.alerts.get("answer")
     assert answer.evaluator._scale is not None
     assert answer.current_value() == referee(pattern_query("ab"), sequence)[()]
     monitor = recovered.alerts.get("monitor")
-    assert monitor.monitor._scale is not None
+    assert monitor.evaluator._scale is not None
     assert monitor.current_value() == occurrence_profile(
         sequence, query_pattern(monitor.query)
     )[-1]
+    # The old snapshot had no evaluator for the monitor: recovery built
+    # one, so both stores now hold the same evaluators.
+    assert len(recovered.database.attached_evaluators()) == 2

@@ -21,7 +21,7 @@ from repro.automata.regex import regex_to_dfa
 from repro.errors import ReproError
 from repro.io.json_format import query_from_dict, query_to_dict, sequence_to_dict
 from repro.lahar.database import MarkovStreamDatabase
-from repro.lahar.monitor import StreamingMonitor, query_pattern
+from repro.lahar.monitor import occurrence_query
 from repro.serve.alerts import AlertEngine, StandingQuery, ThresholdWatch
 from repro.store import Store, replay, verify_recovery
 from repro.store.codec import encode_value
@@ -109,9 +109,7 @@ def run_workload(data_dir, rng) -> list[dict]:
     checkpoints.append(fingerprint(database, alerts))
 
     pattern_query = occurrence_ab_query()
-    monitor = StreamingMonitor.occurrence(
-        database.stream("s"), query_pattern(pattern_query)
-    )
+    monitor = database.streaming_evaluator("s", occurrence_query(pattern_query))
     threshold, rearm = Fraction(1, 8), Fraction(1, 16)
     store.log_standing_registered(
         "occ", "s", "monitor", "occ", pattern_query, (), threshold, rearm
@@ -122,8 +120,10 @@ def run_workload(data_dir, rng) -> list[dict]:
             stream="s",
             kind="monitor",
             query_label="occ",
-            watch=ThresholdWatch(threshold, rearm, initial=monitor.value),
-            monitor=monitor,
+            watch=ThresholdWatch(
+                threshold, rearm, initial=monitor.confidences().get((), 0)
+            ),
+            evaluator=monitor,
             query=pattern_query,
         )
     )
@@ -132,7 +132,7 @@ def run_workload(data_dir, rng) -> list[dict]:
     for _ in range(APPENDS):
         transition = make_fraction_timestep(ALPHABET, rng)
         grown = database.append("s", transition)
-        alerts.observe_append("s", transition, grown.length)
+        alerts.observe_append("s", grown.length)
         checkpoints.append(fingerprint(database, alerts))
 
     store.close()
@@ -303,3 +303,112 @@ def test_compacted_store_recovers_same_fingerprint(workload) -> None:
     report = verify_recovery(data_dir)
     assert report["ok"], report["mismatches"]
     assert report["log_complete"] is False
+
+
+# ---------------------------------------------------------------------------
+# Monitor watches across hash seeds
+# ---------------------------------------------------------------------------
+
+#: Run in a subprocess as ``python -c SESSION {write|recover} DATA_DIR``.
+#: ``write`` journals a durable session with an answer and a monitor watch
+#: and compacts it; ``recover`` replays the store. Each prints a JSON line.
+SESSION = """
+import json, sys
+from fractions import Fraction as F
+
+from repro.automata.operations import sigma_star
+from repro.automata.regex import regex_to_dfa
+from repro.io.json_format import query_from_dict, query_to_dict
+from repro.lahar.database import MarkovStreamDatabase
+from repro.markov.builders import homogeneous
+from repro.serve.alerts import AlertEngine, StandingQuery, ThresholdWatch, watched_query
+from repro.store import Store, replay, verify_recovery
+from repro.store.recovery import capture_state, standing_values
+from repro.transducers.library import accept_filter
+from repro.transducers.sprojector import SProjector
+
+mode, data_dir = sys.argv[1], sys.argv[2]
+if mode == "write":
+    rows = {"a": {"a": F(2, 3), "b": F(1, 3)}, "b": {"a": F(3, 7), "b": F(4, 7)}}
+    store = Store(data_dir, fsync=False)
+    db = MarkovStreamDatabase(store=store)
+    alerts = AlertEngine()
+    db.register_stream("s", homogeneous({"a": F(1, 2), "b": F(1, 2)}, rows, 2))
+    sigma = sigma_star("ab")
+    watches = {
+        "answer": accept_filter(regex_to_dfa("(a|b)*ab(a|b)*", "ab")),
+        "occ": SProjector(sigma, regex_to_dfa("abb", "ab"), sigma),
+    }
+    for name, query in watches.items():
+        query = query_from_dict(query_to_dict(query))
+        kind = "answer" if name == "answer" else "monitor"
+        evaluator = db.streaming_evaluator("s", watched_query(kind, query))
+        store.log_standing_registered(name, "s", kind, name, query, (), F(1, 2), F(1, 4))
+        alerts.register(StandingQuery(
+            name=name, stream="s", kind=kind, query_label=name,
+            watch=ThresholdWatch(F(1, 2), F(1, 4), initial=evaluator.confidences().get((), 0)),
+            evaluator=evaluator, query=query,
+        ))
+    for step in range(12):
+        grown = db.append("s", rows if step % 3 else {"a": {"b": 1}, "b": {"b": 1}})
+        alerts.observe_append("s", grown.length)
+    streams = {name: db.stream(name) for name in db.streams()}
+    store.compact(capture_state(streams, {}, db.attached_evaluators(), alerts))
+    store.close()
+    print(json.dumps({
+        "attached": len(db.attached_evaluators()),
+        "standing": standing_values(alerts),
+    }))
+else:
+    recovered = replay(data_dir)
+    plans = {id(e.plan): e.plan for _s, e in recovered.database.attached_evaluators()}
+    print(json.dumps({
+        "attached": len(recovered.database.attached_evaluators()),
+        "layers": sum(plan.stats.appends for plan in plans.values()),
+        "replayed": recovered.records_replayed,
+        "standing": standing_values(recovered.alerts),
+        "verified": verify_recovery(data_dir)["ok"],
+    }))
+"""
+
+
+def run_session(mode: str, data_dir, hash_seed: str) -> dict:
+    import json
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+    result = subprocess.run(
+        [sys.executable, "-c", SESSION, mode, str(data_dir)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=env,
+    )
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout)
+
+
+def test_monitor_watch_snapshot_is_hash_seed_independent(tmp_path) -> None:
+    """A compacted session with a monitor watch writes the same snapshot
+    bytes under any ``PYTHONHASHSEED``, and a recovery under another seed
+    restores every evaluator, the monitor's occurrence evaluator
+    included, from that snapshot without pushing a DP layer."""
+    seeds = ("0", "4242")
+    live = {seed: run_session("write", tmp_path / seed, seed) for seed in seeds}
+    assert live["0"] == live["4242"]
+    (first,), (second,) = (
+        list((tmp_path / seed / "snapshots").iterdir()) for seed in seeds
+    )
+    assert first.read_bytes() == second.read_bytes()
+    assert live["0"]["attached"] == 2  # the answer and the occurrence evaluator
+
+    for written, recovering in zip(seeds, reversed(seeds)):
+        recovered = run_session("recover", tmp_path / written, recovering)
+        assert recovered["attached"] == live[written]["attached"]
+        assert (recovered["replayed"], recovered["layers"]) == (0, 0)
+        assert recovered["standing"] == live[written]["standing"]
+        assert recovered["verified"] is True

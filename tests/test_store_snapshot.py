@@ -168,8 +168,6 @@ def _state(rng) -> StoreState:
                 value=Fraction(9, 16),
                 armed=False,
                 alerts_fired=2,
-                monitor_length=3,
-                monitor_layer={("n", "d0"): Fraction(9, 16)},
             )
         ],
     )
@@ -195,8 +193,15 @@ def test_state_document_round_trip(rng) -> None:
     )
     assert standing.threshold == original.threshold
     assert standing.rearm == original.rearm
-    assert standing.monitor_layer == original.monitor_layer
-    assert standing.monitor_length == original.monitor_length
+    # A monitor watch's layer is its evaluator's frontier: the standing
+    # entry no longer carries one, and the decoder ignores the field that
+    # older snapshots hold.
+    assert "monitor" not in document["standing"][0]
+    document["standing"][0]["monitor"] = {
+        "length": 3,
+        "layer": encode_frontier({("n", "d0"): Fraction(9, 16)}),
+    }
+    assert state_to_dict(state_from_dict(document)) == state_to_dict(loaded)
 
 
 def test_state_from_dict_refuses_wrong_format(rng) -> None:
