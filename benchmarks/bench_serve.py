@@ -13,6 +13,8 @@ client exactly the way a monitoring deployment would:
   against the mean in-server DP-layer time (the
   ``serve.append.seconds`` telemetry histogram — socket overhead
   excluded, so the gated ratio measures the algorithm, not the wire);
+* ``full_rerun_s`` is the median (with IQR) of :data:`REPEATS` re-runs;
+  ``cores`` is the number of cores the process may run on;
 * ``appends_per_second`` is the client-observed end-to-end rate,
   recorded for humans but never gated (absolute wall-clock numbers do
   not transfer across machines);
@@ -26,6 +28,7 @@ Run as a script to (re)record the ``BENCH_serve.json`` baseline::
 
 from __future__ import annotations
 
+import os
 import tempfile
 import time
 
@@ -38,9 +41,17 @@ from repro.runtime.executor import run_evaluate
 from repro.serve import ServeClient, ServerThread
 from repro.transducers.library import accept_filter
 
-from benchmarks.shape import REPO_ROOT, bench_result, print_series, timed_best, write_result
+from benchmarks.shape import (
+    REPO_ROOT,
+    bench_result,
+    median_iqr,
+    print_series,
+    timed,
+    write_result,
+)
 
 APPENDS = 200
+REPEATS = 5
 ALPHABET = "ab"
 MIN_SPEEDUP = 2.0
 
@@ -109,14 +120,17 @@ def measure(appends: int = APPENDS) -> dict:
         return list(run_evaluate(plan, final))
 
     full_rerun()  # warm the plan's lazily-built structures
-    rerun_s = timed_best(full_rerun, repeats=3)
+    rerun_s, rerun_iqr = median_iqr([timed(full_rerun) for _ in range(REPEATS)])
 
     return {
         "appends": appends,
         "wall_s": wall_s,
         "appends_per_second": appends / wall_s,
         "full_rerun_s": rerun_s,
+        "full_rerun_iqr_s": rerun_iqr,
         "alerts_fired": alerts,
+        "repeats": REPEATS,
+        "cores": len(os.sched_getaffinity(0)),
     }
 
 
@@ -146,7 +160,9 @@ def common_result(appends: int = APPENDS) -> dict:
 
 def report(metrics: dict) -> None:
     print_series(
-        f"Service standing-query economics ({metrics['appends']} appends)",
+        f"Service standing-query economics ({metrics['appends']} appends; "
+        f"re-run median of {metrics['repeats']}, IQR "
+        f"{metrics['full_rerun_iqr_s']:.3e} s, {metrics['cores']} cores)",
         ["path", "seconds", "speedup"],
         [
             ("full re-run per append (no standing query)", metrics["full_rerun_s"], 1.0),

@@ -28,7 +28,8 @@ comparing it with the baseline, but no fixed ratio is asserted here:
 warm recovery's floor is decoding and re-validating the snapshot's
 stream, so the ratio moves whenever replay gets cheaper or dearer.
 ``durable_append_overhead`` (journaled append wall-clock over
-in-memory append wall-clock, fsync off as on tmpfs CI) is recorded for
+in-memory append wall-clock, each advancing the watch's evaluator, fsync
+off as on tmpfs CI) is recorded for
 humans but never gated: absolute I/O numbers do not transfer across
 machines.
 
@@ -49,7 +50,8 @@ from repro import telemetry
 from repro.automata.regex import regex_to_dfa
 from repro.lahar.database import MarkovStreamDatabase
 from repro.markov.builders import homogeneous
-from repro.store import Store, replay, verify_recovery
+from repro.serve.alerts import AlertEngine
+from repro.store import Store, capture_state, replay, verify_recovery
 from repro.transducers.library import accept_filter
 
 from benchmarks.shape import (
@@ -113,6 +115,7 @@ def measure(appends: int = APPENDS, suffix: int = SUFFIX) -> dict:
 
     plain = MarkovStreamDatabase()
     plain.register_stream("tag", seed)
+    plain.streaming_evaluator("tag", query)
     start = time.perf_counter()
     for _ in range(appends):
         plain.append("tag", ROWS)
@@ -126,12 +129,13 @@ def measure(appends: int = APPENDS, suffix: int = SUFFIX) -> dict:
         database.register_query("saw-ab", query)
         # a standing query makes replay do real work: every journaled
         # append re-advances its evaluator by one DP layer
-        store.log_standing_registered(
+        AlertEngine().register_standing(
+            database,
             "watch",
             "tag",
             "answer",
             "saw-ab",
-            database._resolve_query("saw-ab"),
+            query,
             (),
             Fraction(9, 10),
             Fraction(1, 2),
@@ -148,11 +152,9 @@ def measure(appends: int = APPENDS, suffix: int = SUFFIX) -> dict:
             [timed(lambda: replay(data_dir, use_snapshot=False)) for _ in range(REPEATS)]
         )
 
-        from repro.store import capture_recovered
-
         recovered = replay(data_dir)
         store = Store(data_dir, fsync=False)
-        store.compact(capture_recovered(recovered))
+        store.compact(capture_state(recovered.database, recovered.alerts))
         database = recovered.database
         database.attach_store(store)
         for _ in range(suffix):

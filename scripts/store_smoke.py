@@ -3,10 +3,13 @@
 The store's headline guarantee, exercised the hard way: a real
 ``repro serve --data-dir`` subprocess is killed with ``SIGKILL`` —
 no drain, no atexit, mid-flight buffers lost — immediately after its
-last acknowledged append. A second server over the same directory must
-come back with every acknowledged stream length, standing-query value,
-armed flag, and fired count bit-identical to what the client recorded
-before the kill, and ``repro store recover --verify`` must agree.
+last acknowledged append. Before the appends a second standing query is
+registered and dropped, so the log holds a ``standing_dropped`` record
+too. A second server over the same directory must come back with every
+acknowledged stream length and the client's standing catalogue — each
+value, armed flag, and fired count bit-identical to what the client
+recorded before the kill — and ``repro store recover --verify`` must
+agree.
 Exits non-zero on any divergence; the calling CI step wraps the whole
 thing in a hard ``timeout``.
 
@@ -111,6 +114,15 @@ def main(argv: list[str] | None = None) -> int:
                     output=[],
                     threshold=0.9,
                 )
+                client.call(
+                    "register_standing_query",
+                    name="saw-b",
+                    stream="tag",
+                    query=query_to_dict(accept_filter(regex_to_dfa("(a|b)*b(a|b)*", "ab"))),
+                    kind="monitor",
+                    threshold=0.5,
+                )
+                client.call("drop_standing_query", name="saw-b")
                 final_length = None
                 for _ in range(args.appends):
                     final_length = client.call(
@@ -174,6 +186,9 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.write(verify.stdout)
         sys.stderr.write(verify.stderr)
         assert verify.returncode == 0, "store recover --verify failed"
+        assert f", {len(expected)} standing\n" in verify.stdout, verify.stdout
+        for name in expected:
+            assert f"  standing {name}: " in verify.stdout, verify.stdout
         print("smoke: PASS")
         return 0
 

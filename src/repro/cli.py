@@ -515,12 +515,12 @@ def _cmd_store_inspect(args) -> int:
 
 
 def _cmd_store_compact(args) -> int:
-    from repro.store import Store, capture_recovered, replay
+    from repro.store import Store, capture_state, replay
 
     recovered = replay(args.data_dir)
     store = Store(args.data_dir, fsync=not args.no_fsync)
     before = store.stats()
-    store.compact(capture_recovered(recovered))
+    store.compact(capture_state(recovered.database, recovered.alerts))
     store.close()
     after = store.stats()
     print(
@@ -538,7 +538,7 @@ def _cmd_store_recover(args) -> int:
     print(
         f"recovered {args.data_dir}: "
         f"{len(recovered.database.streams())} stream(s), "
-        f"{len(recovered.queries)} named query(ies), "
+        f"{len(recovered.database.queries())} named query(ies), "
         f"{len(recovered.alerts)} standing"
     )
     print(

@@ -259,6 +259,12 @@ class MarkovStreamDatabase:
             )
         self._evaluators[(name, evaluator.plan.fingerprint)] = evaluator
 
+    def detach_evaluator(self, name: str, evaluator: StreamingEvaluator) -> None:
+        """Stop advancing ``evaluator`` on appends to stream ``name``."""
+        key = (name, evaluator.plan.fingerprint)
+        if self._evaluators.get(key) is evaluator:
+            del self._evaluators[key]
+
     def attached_evaluators(self) -> list[tuple[str, StreamingEvaluator]]:
         """Every live (stream, evaluator) pair — what snapshots capture."""
         return [

@@ -165,11 +165,13 @@ def run_evaluate(
     elif order is Order.IMAX:
         answers = _evaluate_imax(plan, sequence, with_confidence)
     elif order is Order.EMAX:
-        answers = _evaluate_emax(plan, sequence, with_confidence)
+        scored = enumerate_emax(sequence, plan.execution)
+        answers = _answers(plan, sequence, scored, order, with_confidence)
     elif evaluator is not None:
         answers = evaluator.answers(with_confidence=with_confidence)
     else:
-        answers = _evaluate_unranked(plan, sequence, with_confidence)
+        scored = ((None, output) for output in enumerate_unranked(sequence, plan.execution))
+        answers = _answers(plan, sequence, scored, order, with_confidence)
 
     if min_confidence is not None:
         answers = apply_threshold(sequence, order, answers, min_confidence)
@@ -229,40 +231,16 @@ def _take(iterator, limit):
             return
 
 
-def _evaluate_unranked(plan, sequence, with_confidence):
-    if plan.kind is PlanKind.INDEXED_SPROJECTOR:
-        for output in enumerate_unranked(sequence, plan.execution):
-            answer = decode_indexed_output(output)
-            confidence = (
-                plan_confidence(plan, sequence, answer) if with_confidence else None
-            )
-            yield Answer(answer, confidence, None, Order.UNRANKED)
-        return
-    for output in enumerate_unranked(sequence, plan.execution):
-        confidence = (
-            plan_confidence(plan, sequence, output, allow_exponential=True)
-            if with_confidence
-            else None
-        )
-        yield Answer(output, confidence, None, Order.UNRANKED)
-
-
-def _evaluate_emax(plan, sequence, with_confidence):
-    if plan.kind is PlanKind.INDEXED_SPROJECTOR:
-        for score, output in enumerate_emax(sequence, plan.execution):
-            answer = decode_indexed_output(output)
-            confidence = (
-                plan_confidence(plan, sequence, answer) if with_confidence else None
-            )
-            yield Answer(answer, confidence, score, Order.EMAX)
-        return
-    for score, output in enumerate_emax(sequence, plan.execution):
-        confidence = (
-            plan_confidence(plan, sequence, output, allow_exponential=True)
-            if with_confidence
-            else None
-        )
-        yield Answer(output, confidence, score, Order.EMAX)
+def _answers(plan, sequence, scored, order, with_confidence):
+    """``Answer`` objects for the ``(score, output)`` pairs an unranked or
+    E_max enumeration of the plan's execution yields; an indexed
+    s-projector's outputs are decoded to ``(output, index)`` first."""
+    indexed = plan.kind is PlanKind.INDEXED_SPROJECTOR
+    for score, output in scored:
+        if indexed:
+            output = decode_indexed_output(output)
+        confidence = plan_confidence(plan, sequence, output) if with_confidence else None
+        yield Answer(output, confidence, score, order)
 
 
 def _evaluate_imax(plan, sequence, with_confidence):

@@ -186,23 +186,79 @@ class AlertEngine:
     _standing: dict[str, StandingQuery] = field(default_factory=dict)
     _by_stream: dict[str, set[str]] = field(default_factory=dict)
 
-    def register(self, standing: StandingQuery) -> None:
-        if not standing.name:
-            raise ReproError("standing query name must be non-empty")
-        if standing.name in self._standing:
-            raise ReproError(f"standing query {standing.name!r} already exists")
-        self._standing[standing.name] = standing
-        self._by_stream.setdefault(standing.stream, set()).add(standing.name)
+    def register_standing(
+        self,
+        db,
+        name: str,
+        stream: str,
+        kind: str,
+        label: str,
+        query,
+        output: tuple,
+        threshold: Number,
+        rearm: Number | None = None,
+        restored=None,
+        evaluator=None,
+        approx: dict | None = None,
+    ) -> StandingQuery:
+        """Register a standing query on ``db`` (live, snapshot restore and
+        log replay alike), journaled when ``db`` has a store attached.
 
-    def drop(self, name: str) -> StandingQuery:
-        standing = self._standing.pop(name, None)
-        if standing is None:
-            raise ReproError(f"unknown standing query {name!r}")
-        names = self._by_stream.get(standing.stream)
-        if names is not None:
-            names.discard(name)
-            if not names:
-                del self._by_stream[standing.stream]
+        It watches the evaluator ``db`` attaches for ``watched_query(kind,
+        query)`` unless given one (an approximate query brings its own).
+        ``restored``, a snapshot's standing entry, sets the watch state
+        verbatim in place of ``initial=`` the current value.
+        """
+        if not name:
+            raise ReproError("standing query name must be non-empty")
+        if name in self._standing:
+            raise ReproError(f"standing query {name!r} already exists")
+        if evaluator is None:
+            evaluator = db.streaming_evaluator(stream, watched_query(kind, query))
+        if restored is None:
+            initial = evaluator.confidences().get(output, 0)
+            watch = ThresholdWatch(threshold, rearm, initial=initial)
+        else:
+            watch = ThresholdWatch.restore(
+                threshold, rearm, restored.value, restored.armed
+            )
+        if db.store is not None:
+            db.store.log_standing_registered(
+                name, stream, kind, label, query, output, threshold, rearm
+            )
+        standing = StandingQuery(
+            name=name,
+            stream=stream,
+            kind=kind,
+            query_label=label,
+            watch=watch,
+            output=output,
+            evaluator=evaluator,
+            alerts_fired=restored.alerts_fired if restored is not None else 0,
+            query=query,
+            approx=approx,
+        )
+        self._standing[name] = standing
+        self._by_stream.setdefault(stream, set()).add(name)
+        return standing
+
+    def drop_standing(self, db, name: str) -> StandingQuery:
+        """Drop a standing query, journaled when ``db`` has a store
+        attached; its evaluator is detached from ``db`` unless another
+        standing query on the stream still watches it."""
+        standing = self.get(name)
+        if db.store is not None:
+            db.store.log_standing_dropped(name)
+        del self._standing[name]
+        names = self._by_stream[standing.stream]
+        names.discard(name)
+        if not names:
+            del self._by_stream[standing.stream]
+        if standing.approx is None and not any(
+            other.evaluator is standing.evaluator
+            for other in self.on_stream(standing.stream)
+        ):
+            db.detach_evaluator(standing.stream, standing.evaluator)
         return standing
 
     def drop_stream(self, stream: str) -> list[StandingQuery]:

@@ -52,7 +52,7 @@ from repro import telemetry
 from repro.core.engine import approximate_confidence, compute_confidence
 from repro.errors import ReproError
 from repro.io.json_format import query_from_dict, sequence_from_dict
-from repro.serve.alerts import AlertEngine, StandingQuery, ThresholdWatch, watched_query
+from repro.serve.alerts import AlertEngine
 from repro.serve.protocol import (
     PROTOCOL,
     ProtocolError,
@@ -208,9 +208,10 @@ class ReproServer:
 
         Recovery runs before the listener can bind: the first client to
         connect sees every stream, evaluator frontier, and standing
-        query exactly as an uninterrupted server would hold them. The
-        store attaches to the shards only *after* replay so recovered
-        records are not re-journaled.
+        query exactly as an uninterrupted server would hold them. Replay
+        fills this server's own database through its mutation methods;
+        the store attaches only *after* replay so recovered records are
+        not re-journaled.
         """
         # Imported here: repro.store.recovery uses this package's alert
         # types, so a top-level import would be circular.
@@ -223,38 +224,17 @@ class ReproServer:
             else None
         )
         self.store = Store(data_dir, fsync=fsync, policy=policy)
-        recovered = store_replay(data_dir, plan_cache=self.db.plan_cache)
-        for name in recovered.database.streams():
-            self.db.register_stream(name, recovered.database.stream(name))
-        for name, query in recovered.queries.items():
-            self.db.register_query(name, query)
-        for stream, evaluator in recovered.database.attached_evaluators():
-            self.db.install_evaluator(stream, evaluator)
+        recovered = store_replay(data_dir, self.db)
         self.alerts = recovered.alerts
         self.db.attach_store(self.store)
         self.recovered = {
-            "streams": len(recovered.database.streams()),
+            "streams": len(self.db.streams()),
             "standing_queries": len(recovered.alerts),
             "last_lsn": recovered.last_lsn,
             "snapshot_lsn": recovered.snapshot_lsn,
             "records_replayed": recovered.records_replayed,
             "truncated_bytes": recovered.truncated_bytes,
         }
-
-    def _capture_state(self):
-        """A snapshot-ready image of everything the service holds.
-
-        Callers must hold *every* shard lock: the image has to be
-        consistent with the journal position it will be stamped with.
-        """
-        from repro.store import capture_state
-
-        return capture_state(
-            self.db.corpus(),
-            self.db.query_objects(),
-            self.db.attached_evaluators(),
-            self.alerts,
-        )
 
     async def _maybe_compact(self) -> None:
         """Fold the log into a fresh snapshot when the policy asks.
@@ -266,11 +246,13 @@ class ReproServer:
         """
         if self.store is None or not self.store.should_compact():
             return
+        from repro.store import capture_state
+
         for lock in self._locks:
             await lock.acquire()
         try:
             if self.store.should_compact():  # re-check under the locks
-                self.store.compact(self._capture_state())
+                self.store.compact(capture_state(self.db, self.alerts))
         finally:
             for lock in reversed(self._locks):
                 lock.release()
@@ -485,10 +467,7 @@ class ReproServer:
         document = params.get("query")
         if not isinstance(document, dict):
             raise ProtocolError("param 'query' must be a query document")
-        query = query_from_dict(document)
-        if self.store is not None:
-            self.store.log_query_registered(name, query)
-        self.db.register_query(name, query)
+        self.db.register_query(name, query_from_dict(document))
         return {"query": name}
 
     # ------------------------------------------------------------------
@@ -570,45 +549,32 @@ class ReproServer:
                 "seed": int(params.get("seed", 0)),
             }
         index = self.db.shard_index(stream)
+        watched = tuple(output) if kind == "answer" and output is not None else ()
+        evaluator = None
+        if approx is not None:
+            evaluator = _ApproxAnswerEvaluator(
+                self.db,
+                stream,
+                query,
+                watched,
+                approx["epsilon"],
+                approx["delta"],
+                approx["seed"],
+                params.get("max_samples"),
+            )
         async with self._locks[index]:
-            if name in self.alerts.names():
-                raise ReproError(f"standing query {name!r} already exists")
-            watched = tuple(output) if kind == "answer" and output is not None else ()
-            if approx is not None:
-                evaluator = _ApproxAnswerEvaluator(
-                    self.db,
-                    stream,
-                    query,
-                    watched,
-                    approx["epsilon"],
-                    approx["delta"],
-                    approx["seed"],
-                    params.get("max_samples"),
-                )
-            else:
-                evaluator = self.db.streaming_evaluator(
-                    stream, watched_query(kind, query)
-                )
-            initial = evaluator.confidences().get(watched, 0)
-            watch = ThresholdWatch(threshold, rearm, initial=initial)
-            # Write-ahead: journal after everything that can fail has
-            # succeeded, before the registration becomes visible.
-            if self.store is not None:
-                self.store.log_standing_registered(
-                    name, stream, kind, str(label), query, watched, threshold, rearm
-                )
-            self.alerts.register(
-                StandingQuery(
-                    name=name,
-                    stream=stream,
-                    kind=kind,
-                    query_label=str(label),
-                    watch=watch,
-                    output=watched,
-                    evaluator=evaluator,
-                    query=query,
-                    approx=approx,
-                )
+            standing = self.alerts.register_standing(
+                self.db,
+                name,
+                stream,
+                kind,
+                str(label),
+                query,
+                watched,
+                threshold,
+                rearm,
+                evaluator=evaluator,
+                approx=approx,
             )
         telemetry.gauge("serve.standing_queries", float(len(self.alerts)))
         if approx is not None:
@@ -617,8 +583,8 @@ class ReproServer:
             "standing": name,
             "stream": stream,
             "kind": kind,
-            "value": encode_value(initial),
-            "armed": watch.armed,
+            "value": encode_value(standing.watch.value),
+            "armed": standing.watch.armed,
             "approximate": approx is not None,
         }
         if approx is not None:
@@ -628,10 +594,7 @@ class ReproServer:
 
     async def _cmd_drop_standing_query(self, session: Session, params) -> dict:
         name = self._str_param(params, "name")
-        self.alerts.get(name)  # must exist before the drop is journaled
-        if self.store is not None:
-            self.store.log_standing_dropped(name)
-        self.alerts.drop(name)
+        self.alerts.drop_standing(self.db, name)
         for other in self.sessions:
             other.subscriptions.discard(name)
         telemetry.gauge("serve.standing_queries", float(len(self.alerts)))

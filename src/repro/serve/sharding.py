@@ -80,6 +80,11 @@ class ShardedDatabase:
             db.attach_store(store)
 
     @property
+    def store(self):
+        """The attached journal, or None."""
+        return self._store
+
+    @property
     def shards(self) -> int:
         return len(self._shards)
 
@@ -123,13 +128,15 @@ class ShardedDatabase:
 
         Planning keeps the fingerprint on the stored object, so every
         read by name is a plan-cache hit that serializes and hashes
-        nothing.
+        nothing. With a store attached, it is journaled once planned.
         """
         if not name:
             raise ReproError("query name must be non-empty")
         if self._store is not None:
             query = canonical_query(query)
         self.plan_cache.get(query)
+        if self._store is not None:
+            self._store.log_query_registered(name, query)
         self._queries[name] = query
         self._registered = set(self._queries.values())
 
@@ -177,6 +184,9 @@ class ShardedDatabase:
     def install_evaluator(self, name: str, evaluator: StreamingEvaluator) -> None:
         """Adopt a recovered evaluator on the shard owning ``name``."""
         self.shard_for(name).install_evaluator(name, evaluator)
+
+    def detach_evaluator(self, name: str, evaluator: StreamingEvaluator) -> None:
+        self.shard_for(name).detach_evaluator(name, evaluator)
 
     def attached_evaluators(self) -> list[tuple[str, StreamingEvaluator]]:
         """Every live (stream, evaluator) pair across shards."""

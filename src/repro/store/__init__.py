@@ -38,10 +38,8 @@ from repro.store.codec import (
 )
 from repro.store.recovery import (
     RecoveredState,
-    capture_recovered,
     capture_state,
     inspect_data_dir,
-    recover_database,
     replay,
     verify_recovery,
 )
@@ -67,7 +65,6 @@ __all__ = [
     "Store",
     "StoreState",
     "WriteAheadLog",
-    "capture_recovered",
     "capture_state",
     "decode_frontier",
     "decode_term",
@@ -75,7 +72,6 @@ __all__ = [
     "encode_term",
     "inspect_data_dir",
     "load_snapshot",
-    "recover_database",
     "replay",
     "scan_log",
     "verify_recovery",

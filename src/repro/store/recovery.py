@@ -1,6 +1,6 @@
 """Crash recovery: newest snapshot + log-suffix replay = the live state.
 
-:func:`replay` rebuilds a :class:`~repro.lahar.database.MarkovStreamDatabase`
+:func:`replay` rebuilds a :class:`~repro.serve.sharding.ShardedDatabase`
 plus its attached evaluators and the standing-query
 :class:`~repro.serve.alerts.AlertEngine` from a store directory:
 
@@ -10,11 +10,16 @@ plus its attached evaluators and the standing-query
    write from the append in flight at crash time is truncated and
    recovery continues; *interior* damage always refuses with a
    :class:`~repro.errors.ReproError`);
-3. apply every record with ``lsn > snapshot.lsn``, mirroring the
-   server's own handling exactly — appends advance every attached
-   evaluator one DP layer and feed each standing query's threshold watch,
-   so alert hysteresis (armed flag, fired counts) is reproduced
-   bit-identically, never re-fired and never swallowed.
+3. apply every record with ``lsn > snapshot.lsn`` by calling the same
+   mutation method that journaled it on the live service —
+   ``register_stream``, ``append``, ``register_query``,
+   :meth:`~repro.serve.alerts.AlertEngine.register_standing` and so on —
+   with the journal detached. There is no second implementation of the
+   service's handling to keep in sync: appends advance every attached
+   evaluator one DP layer and feed each standing query's threshold
+   watch, so alert hysteresis (armed flag, fired counts) is reproduced
+   bit-identically, never re-fired and never swallowed, and a dropped
+   standing query releases its evaluator exactly as it did live.
 
 Because the journal is written *before* each in-memory commit and
 fsync'd, the replayed state is a superset-of-acknowledged guarantee:
@@ -29,15 +34,15 @@ by ``repro store recover --verify`` and the oracle-style recovery tests.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from repro import telemetry
 from repro.errors import ReproError
 from repro.io.json_format import query_from_dict, sequence_from_dict, sequence_to_dict
-from repro.lahar.database import MarkovStreamDatabase
 from repro.runtime.incremental import StreamingEvaluator
-from repro.serve.alerts import AlertEngine, StandingQuery, ThresholdWatch, watched_query
+from repro.serve.alerts import AlertEngine, watched_query
+from repro.serve.sharding import ShardedDatabase
 from repro.store.codec import decode_term, decode_transition, decode_value, encode_value
 from repro.store.snapshot import (
     EvaluatorState,
@@ -54,9 +59,8 @@ from repro.store.wal import scan_log, segment_paths
 class RecoveredState:
     """Everything :func:`replay` rebuilds from a store directory."""
 
-    database: MarkovStreamDatabase
+    database: ShardedDatabase
     alerts: AlertEngine
-    queries: dict[str, object] = field(default_factory=dict)
     last_lsn: int = 0
     snapshot_lsn: int = 0
     records_replayed: int = 0
@@ -65,12 +69,16 @@ class RecoveredState:
 
 def replay(
     data_dir: str | Path,
-    plan_cache=None,
+    database: ShardedDatabase | None = None,
     use_snapshot: bool = True,
     repair: bool = True,
 ) -> RecoveredState:
-    """Rebuild the full service state from ``data_dir``.
+    """Rebuild the full service state from ``data_dir`` into ``database``.
 
+    ``database`` (default: a fresh one-shard :class:`ShardedDatabase`)
+    must be empty and have no store attached: replay runs its mutation
+    methods, which would otherwise journal every record again. The
+    server passes its own database, which also brings its plan cache.
     ``use_snapshot=False`` forces a from-scratch replay of the whole log
     (the referee side of :func:`verify_recovery`); ``repair=False``
     leaves a torn tail on disk untouched (read-only inspection) while
@@ -78,9 +86,9 @@ def replay(
     """
     start = time.perf_counter()
     data_dir = Path(data_dir)
-    database = MarkovStreamDatabase(plan_cache=plan_cache)
-    alerts = AlertEngine()
-    recovered = RecoveredState(database=database, alerts=alerts)
+    if database is None:
+        database = ShardedDatabase()
+    recovered = RecoveredState(database=database, alerts=AlertEngine())
 
     base_lsn = 0
     if use_snapshot:
@@ -103,11 +111,6 @@ def replay(
     return recovered
 
 
-def recover_database(data_dir: str | Path, plan_cache=None) -> MarkovStreamDatabase:
-    """The database-only view of :func:`replay` (CLI and library use)."""
-    return replay(data_dir, plan_cache=plan_cache).database
-
-
 # ---------------------------------------------------------------------------
 # Snapshot application
 # ---------------------------------------------------------------------------
@@ -118,7 +121,6 @@ def _apply_snapshot(recovered: RecoveredState, state) -> None:
     for name, sequence in state.streams.items():
         database.register_stream(name, sequence)
     for name, query in state.queries.items():
-        recovered.queries[name] = query
         database.register_query(name, query)
     for entry in state.evaluators:
         sequence = database.stream(entry.stream)
@@ -134,34 +136,28 @@ def _apply_snapshot(recovered: RecoveredState, state) -> None:
             ),
         )
     for entry in state.standing:
-        watch = ThresholdWatch.restore(
-            entry.threshold, entry.rearm, entry.value, entry.armed
-        )
         # The evaluator behind the watch is one of the snapshot's
         # evaluators restored above. A snapshot written before monitor
-        # watches ran on evaluators has none for them: this builds it
-        # with one full DP over the stream, which gives the same exact
-        # value.
-        evaluator = recovered.database.streaming_evaluator(
-            entry.stream, watched_query(entry.kind, entry.query)
-        )
-        recovered.alerts.register(
-            StandingQuery(
-                name=entry.name,
-                stream=entry.stream,
-                kind=entry.kind,
-                query_label=entry.label,
-                watch=watch,
-                output=tuple(entry.output),
-                evaluator=evaluator,
-                alerts_fired=entry.alerts_fired,
-                query=entry.query,
-            )
+        # watches ran on evaluators has none for them: registration
+        # builds it with one full DP over the stream, which gives the
+        # same exact value.
+        recovered.alerts.register_standing(
+            database,
+            entry.name,
+            entry.stream,
+            entry.kind,
+            entry.label,
+            entry.query,
+            tuple(entry.output),
+            entry.threshold,
+            entry.rearm,
+            restored=entry,
         )
 
 
 # ---------------------------------------------------------------------------
-# Log replay (mirrors the server's handling, record type by record type)
+# Log replay: each record runs the live mutation method that wrote it,
+# with the journal detached.
 # ---------------------------------------------------------------------------
 
 
@@ -184,7 +180,7 @@ def _apply_record(recovered: RecoveredState, record: dict) -> None:
 
 def _replay_stream_created(recovered: RecoveredState, data: dict) -> None:
     name = data["name"]
-    if name in recovered.database.streams():
+    if recovered.database.has_stream(name):
         recovered.alerts.drop_stream(name)
     recovered.database.register_stream(name, sequence_from_dict(data["sequence"]))
 
@@ -201,36 +197,26 @@ def _replay_stream_dropped(recovered: RecoveredState, data: dict) -> None:
 
 
 def _replay_query_registered(recovered: RecoveredState, data: dict) -> None:
-    query = query_from_dict(data["query"])
-    recovered.queries[data["name"]] = query
-    recovered.database.register_query(data["name"], query)
+    recovered.database.register_query(data["name"], query_from_dict(data["query"]))
 
 
 def _replay_standing_registered(recovered: RecoveredState, data: dict) -> None:
-    query = query_from_dict(data["query"])
-    output = decode_term(data["output"])
-    threshold = decode_value(data["threshold"])
-    rearm = decode_value(data["rearm"]) if data.get("rearm") is not None else None
-    evaluator = recovered.database.streaming_evaluator(
-        data["stream"], watched_query(data["kind"], query)
-    )
-    initial = evaluator.confidences().get(tuple(output), 0)
-    recovered.alerts.register(
-        StandingQuery(
-            name=data["name"],
-            stream=data["stream"],
-            kind=data["kind"],
-            query_label=data["label"],
-            watch=ThresholdWatch(threshold, rearm, initial=initial),
-            output=tuple(output),
-            evaluator=evaluator,
-            query=query,
-        )
+    rearm = data.get("rearm")
+    recovered.alerts.register_standing(
+        recovered.database,
+        data["name"],
+        data["stream"],
+        data["kind"],
+        data["label"],
+        query_from_dict(data["query"]),
+        decode_term(data["output"]),
+        decode_value(data["threshold"]),
+        decode_value(rearm) if rearm is not None else None,
     )
 
 
 def _replay_standing_dropped(recovered: RecoveredState, data: dict) -> None:
-    recovered.alerts.drop(data["name"])
+    recovered.alerts.drop_standing(recovered.database, data["name"])
 
 
 _HANDLERS = {
@@ -248,15 +234,19 @@ _HANDLERS = {
 # ---------------------------------------------------------------------------
 
 
-def capture_state(streams, queries, evaluators, alerts: AlertEngine) -> StoreState:
-    """A snapshot-ready :class:`StoreState` image of live service state.
+def capture_state(database: ShardedDatabase, alerts: AlertEngine) -> StoreState:
+    """A snapshot-ready :class:`StoreState` image of ``database`` and
+    ``alerts``.
 
-    Shared by the server's compactor and ``repro store compact``; the
-    caller is responsible for consistency (capture under the same locks
-    that order appends, or from a quiescent :class:`RecoveredState`).
+    Shared by the server's compactor, ``repro store compact`` and the
+    store benchmark; the caller is responsible for consistency (capture
+    under the same locks that order appends, or from a quiescent
+    :func:`replay` result).
     """
-    state = StoreState(streams=dict(streams), queries=dict(queries))
-    for stream, evaluator in evaluators:
+    state = StoreState(
+        streams=database.corpus(), queries=database.query_objects()
+    )
+    for stream, evaluator in database.attached_evaluators():
         state.evaluators.append(
             EvaluatorState(
                 stream, evaluator.plan.query, evaluator.length, evaluator.frontier
@@ -282,23 +272,12 @@ def capture_state(streams, queries, evaluators, alerts: AlertEngine) -> StoreSta
     return state
 
 
-def capture_recovered(recovered: RecoveredState) -> StoreState:
-    """Capture a :class:`RecoveredState` (offline ``repro store compact``)."""
-    database = recovered.database
-    return capture_state(
-        {name: database.stream(name) for name in database.streams()},
-        recovered.queries,
-        database.attached_evaluators(),
-        recovered.alerts,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Verification and inspection
 # ---------------------------------------------------------------------------
 
 
-def verify_recovery(data_dir: str | Path, plan_cache=None) -> dict:
+def verify_recovery(data_dir: str | Path) -> dict:
     """Cross-check incremental recovery against from-scratch evaluation.
 
     Two referees, both exact:
@@ -316,7 +295,7 @@ def verify_recovery(data_dir: str | Path, plan_cache=None) -> dict:
     Read-only (no tail repair). Returns a report dict with ``ok`` and
     any ``mismatches``.
     """
-    fast = replay(data_dir, plan_cache=plan_cache, repair=False)
+    fast = replay(data_dir, repair=False)
     mismatches: list[str] = []
 
     # --- DP referee: recovered frontiers vs from-scratch evaluation ---

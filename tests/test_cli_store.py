@@ -12,7 +12,7 @@ import pytest
 from repro.automata.regex import regex_to_dfa
 from repro.cli import main
 from repro.lahar.database import MarkovStreamDatabase
-from repro.store import Store
+from repro.store import Store, replay
 from repro.store.wal import segment_paths
 from repro.transducers.library import accept_filter
 
@@ -98,15 +98,18 @@ def test_store_recover_verify_fails_on_tampered_snapshot(
     import json
     from fractions import Fraction
 
-    # give the DP referee something to check: a standing query, journaled
-    # the way the server journals it
+    # give the DP referee something to check: a standing query,
+    # registered on the recovered database the way the server registers it
+    recovered = replay(data_dir)
     store = Store(data_dir, fsync=False)
-    store.log_standing_registered(
+    recovered.database.attach_store(store)
+    recovered.alerts.register_standing(
+        recovered.database,
         "watch",
         "door",
         "answer",
         "saw-ab",
-        accept_filter(regex_to_dfa("(a|b)*ab(a|b)*", ALPHABET)),
+        recovered.database.resolve_query("saw-ab"),
         (),
         Fraction(1, 2),
         Fraction(1, 4),

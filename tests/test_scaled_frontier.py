@@ -36,7 +36,8 @@ from repro.markov.builders import homogeneous
 from repro.runtime import incremental as incremental_module
 from repro.runtime.cache import plan_for
 from repro.runtime.incremental import StreamingEvaluator
-from repro.serve.alerts import AlertEngine, StandingQuery, ThresholdWatch
+from repro.serve.alerts import AlertEngine
+from repro.serve.sharding import ShardedDatabase
 from repro.store import Store, replay, verify_recovery
 from repro.store.recovery import capture_state
 from repro.transducers.library import accept_filter
@@ -317,48 +318,22 @@ def canonical(query):
 def write_store(data_dir: Path) -> None:
     """Journal a server-shaped session with an answer and a monitor watch."""
     store = Store(data_dir, fsync=False)
-    db = MarkovStreamDatabase(store=store)
+    db = ShardedDatabase()
+    db.attach_store(store)
     alerts = AlertEngine()
     db.register_stream("s", exact_stream())
     query = canonical(pattern_query("ab"))
     db.register_query("q", query)
-    evaluator = db.streaming_evaluator("s", "q")
-    store.log_standing_registered("answer", "s", "answer", "q", query, (), F(1, 2), F(1, 4))
-    alerts.register(
-        StandingQuery(
-            name="answer",
-            stream="s",
-            kind="answer",
-            query_label="q",
-            watch=ThresholdWatch(F(1, 2), F(1, 4), initial=evaluator.confidences()[()]),
-            evaluator=evaluator,
-            query=query,
-        )
-    )
+    alerts.register_standing(db, "answer", "s", "answer", "q", query, (), F(1, 2), F(1, 4))
     occurrence = canonical(pattern_query("bb"))
-    monitor = db.streaming_evaluator("s", occurrence_query(occurrence))
-    store.log_standing_registered(
-        "monitor", "s", "monitor", "bb", occurrence, (), F(1, 2), F(1, 4)
-    )
-    alerts.register(
-        StandingQuery(
-            name="monitor",
-            stream="s",
-            kind="monitor",
-            query_label="bb",
-            watch=ThresholdWatch(F(1, 2), F(1, 4), initial=monitor_value(monitor)),
-            evaluator=monitor,
-            query=occurrence,
-        )
+    alerts.register_standing(
+        db, "monitor", "s", "monitor", "bb", occurrence, (), F(1, 2), F(1, 4)
     )
     for count, transition in enumerate(timesteps(50, seed=11), start=1):
         grown = db.append("s", transition)
         alerts.observe_append("s", grown.length)
         if count == 40:
-            streams = {name: db.stream(name) for name in db.streams()}
-            store.compact(
-                capture_state(streams, {"q": query}, db.attached_evaluators(), alerts)
-            )
+            store.compact(capture_state(db, alerts))
     store.close()
 
 

@@ -14,7 +14,8 @@ from repro.automata.regex import regex_to_dfa
 from repro.errors import ReproError
 from repro.io.json_format import sequence_to_dict
 from repro.lahar.database import MarkovStreamDatabase
-from repro.store import Store, recover_database, replay, scan_log, verify_recovery
+from repro.serve.sharding import ShardedDatabase
+from repro.store import Store, capture_state, replay, scan_log, verify_recovery
 from repro.transducers.library import accept_filter
 
 from tests.conftest import make_fraction_sequence, make_fraction_timestep
@@ -33,8 +34,9 @@ def store(tmp_path):
     store.close()
 
 
-def populate(store, rng, appends: int = 5) -> MarkovStreamDatabase:
-    database = MarkovStreamDatabase(store=store)
+def populate(store, rng, appends: int = 5, database=None) -> MarkovStreamDatabase:
+    database = database if database is not None else MarkovStreamDatabase()
+    database.attach_store(store)
     database.register_stream("s", make_fraction_sequence(ALPHABET, 3, rng))
     database.register_query("q", contains_ab_query())
     for _ in range(appends):
@@ -63,7 +65,7 @@ def test_recovered_database_is_bit_identical(store, rng) -> None:
     database.append("s", make_fraction_timestep(ALPHABET, rng))
     store.close()
 
-    recovered = recover_database(store.data_dir)
+    recovered = replay(store.data_dir).database
     assert recovered.streams() == ["s"]
     assert recovered.queries() == ["q"]
     assert sequence_to_dict(recovered.stream("s")) == sequence_to_dict(
@@ -112,18 +114,11 @@ def test_detached_store_stops_journaling(store, rng) -> None:
 
 
 def test_compaction_preserves_recovery(store, rng) -> None:
-    from repro.store import capture_state
-
-    database = populate(store, rng)
+    database = populate(store, rng, database=ShardedDatabase())
     database.streaming_evaluator("s", "q")
     reference = replay(store.data_dir)
-    state = capture_state(
-        {name: database.stream(name) for name in database.streams()},
-        {name: database._resolve_query(name) for name in database.queries()},
-        database.attached_evaluators(),
-        reference.alerts,  # empty engine: no standing queries here
-    )
-    store.compact(state)
+    # empty engine: no standing queries here
+    store.compact(capture_state(database, reference.alerts))
 
     recovered = replay(store.data_dir)
     assert recovered.records_replayed == 0

@@ -205,6 +205,57 @@ def test_drops_are_durable(tmp_path, rng) -> None:
                 client.call("append", stream="tmp", transition=wire_timestep(rng))
 
 
+def layers_pushed(database) -> int:
+    """DP layers appends have pushed through the plans of ``database``."""
+    plans = database.plan_cache.stats()["plans"].values()
+    return sum(plan["appends"] for plan in plans)
+
+
+def test_dropped_standing_queries_release_their_evaluators(tmp_path, rng) -> None:
+    """A drop detaches the watch's evaluator unless another standing
+    query on the stream still watches it, live and in the replayed
+    journal alike: once every watch is gone, appends push no DP layer."""
+    from repro.store import replay
+
+    data_dir = tmp_path / "data"
+    with durable_server(tmp_path) as harness:
+        live = harness.server.db
+        with ServeClient.connect_unix(harness.address["path"]) as client:
+            populate(client, rng, appends=1)
+            client.call(
+                "register_standing_query",
+                name="twin",  # the same stream and plan as "watch"
+                stream="door",
+                query="saw-ab",
+                kind="answer",
+                output=[],
+                threshold=0.25,
+            )
+            client.call("drop_standing_query", name="watch")
+            client.call("append", stream="door", transition=wire_timestep(rng))
+            twin = harness.server.alerts.get("twin")
+            assert twin.evaluator in [e for _s, e in live.attached_evaluators()]
+            fresh = client.call("confidence", stream="door", query="saw-ab", output=[])
+            assert standing_snapshot(client)["twin"]["value"] == fresh["confidence"]
+            recovered = replay(data_dir, repair=False)
+            assert len(live.attached_evaluators()) == 2
+            assert len(recovered.database.attached_evaluators()) == 2
+
+            client.call("drop_standing_query", name="twin")
+            client.call("drop_standing_query", name="occ")
+            assert live.attached_evaluators() == []
+            before = layers_pushed(live)
+            client.call("append", stream="door", transition=wire_timestep(rng))
+            assert layers_pushed(live) == before
+
+    recovered = replay(data_dir)
+    assert recovered.alerts.names() == []
+    assert recovered.database.attached_evaluators() == []
+    before = layers_pushed(recovered.database)
+    recovered.database.append("door", make_fraction_timestep(ALPHABET, rng))
+    assert layers_pushed(recovered.database) == before
+
+
 def test_stream_replacement_teardown_is_durable(tmp_path, rng) -> None:
     """Replacing a stream drops its standing queries implicitly; the
     replay must reproduce that teardown from the stream_created record
