@@ -40,7 +40,7 @@ from repro.hardness.gap_instances import mealy_gap_instance
 
 from benchmarks.shape import (
     REPO_ROOT,
-    bench_result,
+    result_record,
     median_iqr,
     print_series,
     timed,
@@ -175,7 +175,7 @@ def check(results: dict) -> None:
 def common_result(sizes=SIZES, results: dict | None = None) -> dict:
     if results is None:
         results = measure(sizes)
-    return bench_result(
+    return result_record(
         "approx",
         {
             "epsilon": EPSILON,

@@ -40,7 +40,7 @@ from repro.transducers.transducer import Transducer
 
 from repro import telemetry
 
-from benchmarks.shape import REPO_ROOT, bench_result, median_iqr, print_series, timed, write_result
+from benchmarks.shape import REPO_ROOT, result_record, median_iqr, print_series, timed, write_result
 
 STREAMS = 64
 LENGTH = 32
@@ -166,7 +166,7 @@ def common_result(streams: int = STREAMS, length: int = LENGTH) -> dict:
         "repeats": REPEATS,
         "cores": results["cores"],
     }
-    return bench_result("parallel", params, results, telemetry_snapshot=snapshot)
+    return result_record("parallel", params, results, telemetry_snapshot=snapshot)
 
 
 def report(results: dict) -> None:

@@ -43,7 +43,7 @@ from repro.transducers.library import accept_filter
 
 from benchmarks.shape import (
     REPO_ROOT,
-    bench_result,
+    result_record,
     median_iqr,
     print_series,
     timed,
@@ -150,7 +150,7 @@ def common_result(appends: int = APPENDS) -> dict:
         "mean_append_s": mean_append_s,
         "incremental_speedup": results["full_rerun_s"] / mean_append_s,
     }
-    return bench_result(
+    return result_record(
         "serve",
         {"appends": appends, "query": "accept_filter((a|b)*ab(a|b)*)", "shards": 2},
         metrics,

@@ -56,7 +56,7 @@ from repro.transducers.library import accept_filter
 
 from benchmarks.shape import (
     REPO_ROOT,
-    bench_result,
+    result_record,
     median_iqr,
     print_series,
     timed,
@@ -196,7 +196,7 @@ def common_result(appends: int = APPENDS, suffix: int = SUFFIX) -> dict:
         metrics = measure(appends, suffix)
         snapshot = registry.snapshot()
     assert "store.replay.seconds" in snapshot["histograms"]
-    return bench_result(
+    return result_record(
         "store",
         {
             "appends": appends,

@@ -29,7 +29,7 @@ from repro import telemetry
 from repro.lahar.database import MarkovStreamDatabase
 
 from benchmarks.bench_runtime import N, monitoring_stream, occurrence_query
-from benchmarks.shape import REPO_ROOT, bench_result, print_series, timed_best, write_result
+from benchmarks.shape import REPO_ROOT, result_record, print_series, timed_best, write_result
 
 #: The acceptance gate: disabled telemetry may cost at most this
 #: fraction of the warm-read path.
@@ -112,7 +112,7 @@ def check(results: dict) -> None:
 
 def common_result(n: int = N) -> dict:
     results = measure(n)
-    return bench_result("telemetry", {"n": n}, results)
+    return result_record("telemetry", {"n": n}, results)
 
 
 def bench_telemetry_overhead(benchmark) -> None:

@@ -54,7 +54,7 @@ def git_rev() -> str | None:
     return rev if out.returncode == 0 and rev else None
 
 
-def bench_result(
+def result_record(
     name: str,
     params: dict,
     metrics: dict,

@@ -31,7 +31,6 @@ from repro.runtime.cache import PlanCache
 from repro.runtime.executor import batch_confidence, batch_top_k, run_evaluate, run_top_k
 from repro.runtime.incremental import StreamingEvaluator
 from repro.runtime.plan import QueryPlan
-from repro.semiring import scale_rows
 
 Symbol = Hashable
 
@@ -184,9 +183,9 @@ class MarkovStreamDatabase:
 
         Every streaming evaluator attached to the stream absorbs the
         timestep incrementally (one DP layer each), so the next read is
-        warm. The timestep is validated and lifted to integer numerators
-        (:func:`~repro.semiring.scale_rows`) once, and every evaluator
-        shares both.
+        warm. The timestep is validated once, and every evaluator shares
+        the grown sequence and so its one lift of the timestep to integer
+        numerators (:meth:`MarkovSequence.scaled_rows`).
 
         The append is atomic with respect to the attached evaluators:
         the timestep is validated *before* the stream mutates, and if
@@ -208,13 +207,12 @@ class MarkovStreamDatabase:
             for (stream_name, _fingerprint), evaluator in self._evaluators.items()
             if stream_name == name
         ]
-        lifted = scale_rows(grown.transition_rows(grown.length - 1))
         for evaluator in attached:
             evaluator.checkpoint()
         advanced = 0
         try:
             for evaluator in attached:
-                evaluator.advance_to(grown, lifted)
+                evaluator.advance_to(grown)
                 advanced += 1
             if self._store is not None:
                 self._store.log_append(name, transition)

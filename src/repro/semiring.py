@@ -23,11 +23,14 @@ recursion runs in log space for sequences whose world probabilities
 underflow IEEE doubles, decides reachability in ``BOOLEAN`` and counts
 positive-probability worlds in ``COUNTING``.
 
-The incremental engines keep exact layers as integer numerators over one
-common denominator: :func:`scale_rows` lifts one timestep's rows,
+Exact ``REAL`` DPs keep their layers as integer numerators over one
+common denominator: :func:`scale_rows` lifts one timestep's rows (a
+Markov sequence keeps each row's lift, see
+:meth:`~repro.markov.sequence.MarkovSequence.scaled_rows`),
 :func:`scale_layer` lifts a ``Fraction`` layer, and
-:func:`unscale_layer` divides back, so a growing stream's appends run
-``REAL`` on ``int``s without a ``gcd`` per cell.
+:func:`unscale_layer` divides back, so both a growing stream's appends
+and a from-scratch ``final_layer`` run ``REAL`` on ``int``s without a
+``gcd`` per cell.
 """
 
 from __future__ import annotations

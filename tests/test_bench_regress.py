@@ -16,10 +16,7 @@ import json
 import pytest
 
 from benchmarks.regress import SCENARIOS, Failure, MetricSpec, compare, main, run_gate
-# `bench_result` is aliased so pytest's bench_* collection pattern
-# does not pick the imported helper up as a test function.
-from benchmarks.shape import RESULT_SCHEMA, write_result
-from benchmarks.shape import bench_result as make_result
+from benchmarks.shape import RESULT_SCHEMA, result_record, write_result
 
 
 # ---------------------------------------------------------------------------
@@ -58,8 +55,8 @@ def test_compare_skips_metrics_missing_on_either_side() -> None:
         MetricSpec("only_in_baseline", "higher", 2.0),
         MetricSpec("only_in_fresh", "higher", 2.0),
     )
-    baseline = make_result("x", {}, {"present": 10.0, "only_in_baseline": 5.0})
-    fresh = make_result("x", {}, {"present": 9.0, "only_in_fresh": 5.0})
+    baseline = result_record("x", {}, {"present": 10.0, "only_in_baseline": 5.0})
+    fresh = result_record("x", {}, {"present": 9.0, "only_in_fresh": 5.0})
     assert compare(baseline, fresh, specs) == []
 
 
